@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import catalog, constructive, families, heuristics, reduction
 from .graph import Graph, emit_edge_list, from_edge_list, parse_edge_list, stats
-from .solver import BUDGET_EXHAUSTED, SolverConfig, exists_k, solve
+from .solver import BUDGET_EXHAUSTED, BudgetExceeded, SolverConfig, exists_k, solve
 from .verify import Coloring, is_harmonious, lower_bounds
 
 EXIT_OK = 0
@@ -115,7 +115,6 @@ def _solver_cfg(args) -> SolverConfig:
     return SolverConfig(
         node_budget=getattr(args, "budget_nodes", None),
         time_budget=getattr(args, "budget_secs", None),
-        parallel_roots=getattr(args, "parallel", False),
     )
 
 
@@ -160,7 +159,7 @@ def cmd_solve(args) -> int:
         return EXIT_OK if out.feasible else EXIT_MISMATCH
     try:
         res = solve(g, cfg)
-    except Exception as exc:  # budget exhaustion carries bracketing info
+    except BudgetExceeded as exc:  # carries the bracketing info
         print(f"solve: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     payload = {
@@ -353,17 +352,16 @@ def _reproduce_rows(scope: str, per_entry_budget: float):
 
 def cmd_reproduce(args) -> int:
     rows: list[RunRecord] = []
-    failed = False
+    budget_hit = False
     for graph_id, expected, run in _reproduce_rows(args.scope, args.time_budget):
         t0 = time.monotonic()
         try:
             computed: int | str = run()
-        except Exception as exc:
+        except Exception as exc:  # the row failed; the others still run
             computed = f"SKIPPED ({type(exc).__name__})"
+            budget_hit = budget_hit or isinstance(exc, BudgetExceeded)
         elapsed = time.monotonic() - t0
-        ok = computed == expected or str(computed).startswith("SKIPPED")
-        failed = failed or computed != expected and not str(computed).startswith("SKIPPED")
-        rows.append(RunRecord(graph_id, expected, computed, elapsed, ok))
+        rows.append(RunRecord(graph_id, expected, computed, elapsed, computed == expected))
     if args.json:
         print(json.dumps([asdict(r) for r in rows]))
     else:
@@ -372,7 +370,9 @@ def cmd_reproduce(args) -> int:
             mark = "ok" if r.ok else "MISMATCH"
             print(f"{r.graph_id:<{width}}  expected={r.expected!s:>3}  "
                   f"computed={r.computed!s:>3}  {r.elapsed:6.2f}s  {mark}")
-    return EXIT_MISMATCH if failed else EXIT_OK
+    if budget_hit:
+        return EXIT_BUDGET
+    return EXIT_OK if all(r.ok for r in rows) else EXIT_MISMATCH
 
 
 def cmd_export(args) -> int:
@@ -400,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="decide a single color budget instead")
     p.add_argument("--budget-nodes", type=int)
     p.add_argument("--budget-secs", type=float)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_solve)
 

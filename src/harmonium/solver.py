@@ -1,10 +1,11 @@
 """Exact harmonious chromatic number by pruned backtracking.
 
-exists_k colors vertices one by one, maintaining an incremental
+exists_k colors vertices in index order, maintaining an incremental
 color-pair usage table. Three prunes keep the search small:
+  - size: a graph with m > k(k-1)/2 edges is rejected before any search,
+    because each edge needs its own color pair,
   - properness + pair uniqueness against already-colored neighbors,
-  - symmetry breaking: a brand-new color must be (max color so far) + 1,
-  - counting: the edges still uncolored must fit in the free pairs.
+  - symmetry breaking: a brand-new color must be (max color so far) + 1.
 An "infeasible" answer is an exhaustive claim; running out of budget is
 reported as its own outcome, never conflated with infeasibility.
 
@@ -16,10 +17,8 @@ independent to agree with.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph
 from .verify import Coloring, is_harmonious, lower_bounds
@@ -39,8 +38,6 @@ class SolverConfig:
     node_budget: int | None = None
     time_budget: float | None = None  # seconds
     start_k: int | None = None  # defaults to the combined lower bound
-    parallel_roots: bool = False
-    degree_order: bool = False  # color vertices in descending-degree order
 
     def __post_init__(self):
         if self.node_budget is not None and self.node_budget <= 0:
@@ -72,133 +69,52 @@ class SolveResult:
 
 
 class _Search:
-    """Sequential backtracking over one vertex order, reusable across prefixes."""
+    """Sequential backtracking over the vertices in index order."""
 
-    def __init__(self, g: Graph, k: int, order: list[int],
-                 node_budget: int | None, deadline: float | None):
+    def __init__(self, g: Graph, k: int, node_budget: int | None, deadline: float | None):
         self.k = k
-        self.order = order
-        pos = [0] * g.n
-        for idx, v in enumerate(order):
-            pos[v] = idx
-        # neighbors of order[i] that appear earlier in the order
-        self.back = [
-            [pos[u] for u in g.adj[v] if pos[u] < idx]
-            for idx, v in enumerate(order)
-        ]
-        self.m = g.m
-        self.color = [0] * g.n  # indexed by order position
+        self.n = g.n
+        # neighbors of v with a smaller index: colored before v
+        self.back = [[u for u in g.adj[v] if u < v] for v in range(g.n)]
+        self.color = [0] * g.n
         self.pair_used = [[False] * (k + 1) for _ in range(k + 1)]
         self.nodes = 0
         self.node_budget = node_budget
         self.deadline = deadline
 
-    def run(self, prefix: list[int] | None = None) -> list[int] | None:
-        """Search for a full assignment; prefix pins the first positions."""
-        start = 0
-        maxc = 0
-        rem = self.m
-        free = self.k * (self.k - 1) // 2
-        if prefix:
-            for idx, c in enumerate(prefix):
-                marked = self._try(idx, c)
-                if marked is None:
-                    raise ValueError("infeasible prefix")
-                rem -= len(marked)
-                free -= len(marked)
-                self.color[idx] = c
-                maxc = max(maxc, c)
-            start = len(prefix)
-        if self._rec(start, maxc, rem, free):
-            return list(self.color)
+    def run(self) -> Coloring | None:
+        if self._rec(0, 0):
+            return Coloring(tuple(self.color))
         return None
 
-    def _try(self, idx: int, c: int) -> list[int] | None:
-        """Mark pairs for coloring position idx with c; None on conflict."""
-        pair_used = self.pair_used
-        marked = []
-        for j in self.back[idx]:
-            cu = self.color[j]
-            if cu == c or pair_used[c][cu]:
-                for cu2 in marked:
-                    pair_used[c][cu2] = pair_used[cu2][c] = False
-                return None
-            pair_used[c][cu] = pair_used[cu][c] = True
-            marked.append(cu)
-        return marked
-
-    def _rec(self, idx: int, maxc: int, rem: int, free: int) -> bool:
+    def _rec(self, v: int, maxc: int) -> bool:
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise BudgetExceeded
         if self.deadline is not None and self.nodes % 4096 == 0 \
                 and time.monotonic() > self.deadline:
             raise BudgetExceeded
-        if idx == len(self.order):
+        if v == self.n:
             return True
         pair_used = self.pair_used
         color = self.color
+        back = self.back[v]
         for c in range(1, min(maxc + 1, self.k) + 1):
-            marked = self._try(idx, c)
-            if marked is None:
-                continue
-            used = len(marked)
-            if rem - used <= free - used:
-                color[idx] = c
-                if self._rec(idx + 1, max(maxc, c), rem - used, free - used):
+            row = pair_used[c]
+            marked = []
+            for u in back:
+                cu = color[u]
+                if cu == c or row[cu]:
+                    break
+                row[cu] = pair_used[cu][c] = True
+                marked.append(cu)
+            else:
+                color[v] = c
+                if self._rec(v + 1, max(maxc, c)):
                     return True
-                color[idx] = 0
             for cu in marked:
-                pair_used[c][cu] = pair_used[cu][c] = False
+                row[cu] = pair_used[cu][c] = False
         return False
-
-
-def _vertex_order(g: Graph, cfg: SolverConfig) -> list[int]:
-    if cfg.degree_order:
-        return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    return list(range(g.n))
-
-
-def _unpermute(g: Graph, order: list[int], colors_by_pos: list[int]) -> Coloring:
-    out = [0] * g.n
-    for idx, v in enumerate(order):
-        out[v] = colors_by_pos[idx]
-    return Coloring(tuple(out))
-
-
-def _root_branches(k: int, depth: int) -> list[list[int]]:
-    """Symmetry-broken color prefixes of the given length."""
-    prefixes: list[list[int]] = [[]]
-    for _ in range(depth):
-        nxt = []
-        for p in prefixes:
-            maxc = max(p, default=0)
-            for c in range(1, min(maxc + 1, k) + 1):
-                nxt.append(p + [c])
-        prefixes = nxt
-    return prefixes
-
-
-def _worker(args) -> tuple[str, list[int] | None, int]:
-    g, k, order, prefix, node_budget, time_budget = args
-    deadline = time.monotonic() + time_budget if time_budget else None
-    search = _Search(g, k, order, node_budget, deadline)
-    try:
-        sol = search.run(prefix)
-    except ValueError:  # infeasible prefix: nothing under this root
-        return (INFEASIBLE, None, 0)
-    except BudgetExceeded:
-        return (BUDGET_EXHAUSTED, None, search.nodes)
-    if sol is None:
-        return (INFEASIBLE, None, search.nodes)
-    return ("witness", sol, search.nodes)
-
-
-def _thread_cap() -> int:
-    cap = os.environ.get("HARMONIUM_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return os.cpu_count() or 1
 
 
 def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome:
@@ -209,39 +125,21 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
     if k < 1:
         raise ValueError(f"color budget must be >= 1, got {k}")
     cfg = cfg or SolverConfig()
-    order = _vertex_order(g, cfg)
     if g.n == 0:
         return SearchOutcome("witness", Coloring(()), 0)
-
-    if cfg.parallel_roots and g.n >= 2:
-        depth = min(2, g.n)
-        branches = _root_branches(k, depth)
-        workers = min(_thread_cap(), len(branches))
-        if workers > 1:
-            args = [(g, k, order, p, cfg.node_budget, cfg.time_budget) for p in branches]
-            total_nodes = 0
-            exhausted = False
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for status, sol, nodes in pool.map(_worker, args):
-                    total_nodes += nodes
-                    if status == "witness":
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        return SearchOutcome("witness", _unpermute(g, order, sol), total_nodes)
-                    if status == BUDGET_EXHAUSTED:
-                        exhausted = True
-            if exhausted:
-                return SearchOutcome(BUDGET_EXHAUSTED, None, total_nodes)
-            return SearchOutcome(INFEASIBLE, None, total_nodes)
-
+    # Each edge needs its own color pair, and k colors have k(k-1)/2 pairs.
+    # The check counts as the one root node the search would have visited.
+    if g.m > k * (k - 1) // 2:
+        return SearchOutcome(INFEASIBLE, None, 1)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
-    search = _Search(g, k, order, cfg.node_budget, deadline)
+    search = _Search(g, k, cfg.node_budget, deadline)
     try:
-        sol = search.run()
+        witness = search.run()
     except BudgetExceeded:
         return SearchOutcome(BUDGET_EXHAUSTED, None, search.nodes)
-    if sol is None:
+    if witness is None:
         return SearchOutcome(INFEASIBLE, None, search.nodes)
-    return SearchOutcome("witness", _unpermute(g, order, sol), search.nodes)
+    return SearchOutcome("witness", witness, search.nodes)
 
 
 def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
@@ -249,7 +147,8 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
 
     Iterates exists_k upward from the combined lower bound (or
     cfg.start_k). Budget exhaustion raises BudgetExceeded carrying the
-    bracketing information in its message.
+    bracketing information in its message; a witness that fails
+    verification raises RuntimeError.
     """
     cfg = cfg or SolverConfig()
     t0 = time.monotonic()
@@ -265,7 +164,9 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
             )
         if out.feasible:
             witness = out.witness
-            assert is_harmonious(g, witness), "solver produced invalid witness"
+            verdict = is_harmonious(g, witness)
+            if not verdict.ok:
+                raise RuntimeError(f"solver produced an invalid witness at k={k}: {verdict}")
             return SolveResult(
                 h=k,
                 witness=witness,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from harmonium import Coloring, named
+from harmonium import BudgetExceeded, Coloring, named
 from harmonium.cli import (
     EXIT_BUDGET,
     EXIT_MISMATCH,
@@ -68,6 +68,21 @@ def test_solve_decision_mode(capsys):
 def test_solve_budget_exit(capsys):
     code, _, _ = run(capsys, "solve", "name:franklin", "--k", "8", "--budget-nodes", "3")
     assert code == EXIT_BUDGET
+
+
+def test_solve_crash_is_not_a_budget_stop(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr("harmonium.cli.solve", broken)
+    # a crash propagates (the interpreter exits 1); it is never exit 3
+    with pytest.raises(RuntimeError):
+        main(["solve", "name:petersen"])
+
+
+def test_solve_parallel_flag_removed(capsys):
+    code, _, _ = run(capsys, "solve", "name:petersen", "--parallel")
+    assert code == EXIT_USAGE
 
 
 def test_bound(capsys):
@@ -180,6 +195,35 @@ def test_reproduce_scopes(capsys):
     code, out, _ = run(capsys, "reproduce", "--scope", "reduction")
     assert code == EXIT_OK
     assert "ok" in out and "MISMATCH" not in out
+
+
+def _raise(exc):
+    def row():
+        raise exc
+
+    return row
+
+
+def test_reproduce_raising_rows_fail(monkeypatch, capsys):
+    rows = [
+        ("good", 3, lambda: 3),
+        ("budget", 4, _raise(BudgetExceeded("budget exhausted at k=4"))),
+        ("crash", 5, _raise(RuntimeError("bug"))),
+    ]
+    monkeypatch.setattr("harmonium.cli._reproduce_rows", lambda scope, budget: iter(rows))
+    code, out, _ = run(capsys, "reproduce", "--json")
+    assert code == EXIT_BUDGET
+    payload = json.loads(out)
+    assert [sorted(r) for r in payload] == [
+        ["computed", "elapsed", "expected", "graph_id", "ok"]] * 3
+    assert [r["ok"] for r in payload] == [True, False, False]
+    assert payload[1]["computed"] == "SKIPPED (BudgetExceeded)"
+
+    monkeypatch.setattr("harmonium.cli._reproduce_rows",
+                        lambda scope, budget: iter([rows[0], rows[2]]))
+    code, out, _ = run(capsys, "reproduce")
+    assert code == EXIT_MISMATCH
+    assert "MISMATCH" in out
 
 
 def test_export_dot(tmp_path, capsys):

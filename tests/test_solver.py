@@ -139,20 +139,47 @@ def test_invalid_config():
         exists_k(cycle(3), 0)
 
 
-def test_degree_order_same_h():
-    for name in ("petersen", "planar33_8_2", "tietze"):
-        g = named(name)
-        a = solve(g)
-        b = solve(g, SolverConfig(degree_order=True))
-        assert a.h == b.h
+def test_removed_knobs_are_rejected():
+    with pytest.raises(TypeError):
+        SolverConfig(parallel_roots=True)
+    with pytest.raises(TypeError):
+        SolverConfig(degree_order=True)
 
 
-def test_parallel_roots_same_h():
-    g = named("planar33_10_1")
-    seq = solve(g)
-    par = solve(g, SolverConfig(parallel_roots=True))
-    assert seq.h == par.h
-    assert is_harmonious(g, par.witness).ok
+def test_too_many_edges_rejected_without_search():
+    g = named("petersen")  # 15 edges, but 5 colors give only 10 pairs
+    out = exists_k(g, 5)
+    assert out.status == INFEASIBLE
+    assert out.nodes_explored == 1
+    assert exists_k(g, 6).nodes_explored > 1  # 15 pairs: the search runs
+
+
+def test_invalid_witness_raises_under_optimize():
+    """The witness check in solve must survive `python -O`."""
+    import os
+    import subprocess
+    import sys
+
+    import harmonium
+
+    script = """
+import harmonium.solver as s
+from harmonium.families import cycle
+from harmonium.verify import Coloring
+
+assert False, "-O is not in effect"
+s.exists_k = lambda g, k, cfg=None: s.SearchOutcome("witness", Coloring((1,) * g.n), 0)
+try:
+    s.solve(cycle(4))
+except RuntimeError as exc:
+    print("raised:", exc)
+"""
+    src = os.path.dirname(os.path.dirname(harmonium.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: solver produced an invalid witness")
 
 
 def test_edgeless_graph():
