@@ -5,7 +5,7 @@ chromatic number, and how much search it took. The diameter-2 entries
 (Petersen, Wagner, octahedron, Moser spindle) all land exactly at n.
 """
 
-from harmonium import lower_bounds, named, solve, stats
+from harmonium import diameter, lower_bounds, named, solve
 
 NAMES = [
     "petersen", "wagner", "octahedron", "moser_spindle", "house",
@@ -17,10 +17,9 @@ def main():
     print(f"{'graph':<22} {'n':>3} {'m':>3} {'diam':>4} {'bound':>5} {'h':>3} {'nodes':>7}")
     for name in NAMES:
         g = named(name)
-        st = stats(g)
         b = lower_bounds(g)
         res = solve(g)
-        print(f"{name:<22} {g.n:>3} {g.m:>3} {st.diameter:>4} "
+        print(f"{name:<22} {g.n:>3} {g.m:>3} {diameter(g):>4} "
               f"{b.combined:>5} {res.h:>3} {res.nodes_explored:>7}")
 
 

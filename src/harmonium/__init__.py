@@ -5,6 +5,7 @@ from .graph import (
     Graph,
     GraphStats,
     closed_n2,
+    diameter,
     emit_edge_list,
     from_edge_list,
     parse_edge_list,

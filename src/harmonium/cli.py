@@ -352,25 +352,26 @@ def _reproduce_rows(scope: str, per_entry_budget: float):
 
 def cmd_reproduce(args) -> int:
     rows: list[RunRecord] = []
-    budget_hit = False
+    marks: list[str] = []
     for graph_id, expected, run in _reproduce_rows(args.scope, args.time_budget):
         t0 = time.monotonic()
         try:
             computed: int | str = run()
+            mark = "ok" if computed == expected else "MISMATCH"
         except Exception as exc:  # the row failed; the others still run
             computed = f"SKIPPED ({type(exc).__name__})"
-            budget_hit = budget_hit or isinstance(exc, BudgetExceeded)
+            mark = "BUDGET" if isinstance(exc, BudgetExceeded) else "ERROR"
         elapsed = time.monotonic() - t0
         rows.append(RunRecord(graph_id, expected, computed, elapsed, computed == expected))
+        marks.append(mark)
     if args.json:
         print(json.dumps([asdict(r) for r in rows]))
     else:
         width = max(len(r.graph_id) for r in rows)
-        for r in rows:
-            mark = "ok" if r.ok else "MISMATCH"
+        for r, mark in zip(rows, marks):
             print(f"{r.graph_id:<{width}}  expected={r.expected!s:>3}  "
                   f"computed={r.computed!s:>3}  {r.elapsed:6.2f}s  {mark}")
-    if budget_hit:
+    if "BUDGET" in marks:
         return EXIT_BUDGET
     return EXIT_OK if all(r.ok for r in rows) else EXIT_MISMATCH
 

@@ -1,4 +1,4 @@
-"""Immutable simple-graph type and BFS-based metric queries.
+"""Immutable simple-graph type, degree statistics and distance queries.
 
 Vertices are dense ids 0..n-1. Edges are stored both as a frozenset of
 ordered pairs (u < v) and as per-vertex sorted neighbor tuples; neighbor
@@ -43,12 +43,7 @@ class Graph:
 class GraphStats:
     m: int
     max_degree: int
-    diameter: int  # DISCONNECTED when the graph is not connected
     degree_sequence: tuple[int, ...]
-
-    @property
-    def connected(self) -> bool:
-        return self.diameter != DISCONNECTED
 
 
 def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -88,32 +83,27 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 
 def stats(g: Graph) -> GraphStats:
-    """Edge count, max degree, degree sequence and BFS-exact diameter."""
+    """Edge count, max degree and degree sequence, in O(n)."""
     degs = tuple(g.degree(v) for v in range(g.n))
-    diameter = 0
+    return GraphStats(m=g.m, max_degree=max(degs, default=0), degree_sequence=degs)
+
+
+def diameter(g: Graph) -> int:
+    """BFS-exact diameter, O(n·m): DISCONNECTED if not connected, 0 if empty."""
+    diam = 0
     for v in range(g.n):
         dist = bfs_distances(g, v)
-        ecc = max(dist)
         if min(dist) < 0:  # unreachable vertex
-            diameter = DISCONNECTED
-            break
-        diameter = max(diameter, ecc)
-    if g.n == 0:
-        diameter = 0
-    return GraphStats(
-        m=g.m,
-        max_degree=max(degs, default=0),
-        diameter=diameter,
-        degree_sequence=degs,
-    )
+            return DISCONNECTED
+        diam = max(diam, max(dist))
+    return diam
 
 
 def closed_n2(g: Graph, v: int) -> set[int]:
-    """The set {u : d(u, v) <= 2}, including v itself."""
+    """The set {u : d(u, v) <= 2}, including v itself, in O(deg(v)·Δ)."""
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    dist = bfs_distances(g, v)
-    return {u for u in range(g.n) if 0 <= dist[u] <= 2}
+    return {v, *g.adj[v]}.union(*(g.adj[w] for w in g.adj[v]))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -146,22 +146,26 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Exact harmonious chromatic number with witness and statistics.
 
     Iterates exists_k upward from the combined lower bound (or
-    cfg.start_k). Budget exhaustion raises BudgetExceeded carrying the
-    bracketing information in its message; a witness that fails
-    verification raises RuntimeError.
+    cfg.start_k). The node and time budgets bound the whole solve: each
+    k gets what the earlier ones left. Budget exhaustion raises
+    BudgetExceeded carrying the bracketing information in its message; a
+    witness that fails verification raises RuntimeError.
     """
     cfg = cfg or SolverConfig()
     t0 = time.monotonic()
-    start = cfg.start_k if cfg.start_k is not None else max(1, lower_bounds(g).combined)
+    deadline = t0 + cfg.time_budget if cfg.time_budget else None
+    k = cfg.start_k if cfg.start_k is not None else max(1, lower_bounds(g).combined)
     total_nodes = 0
-    k = start
     while True:
-        out = exists_k(g, k, cfg)
-        total_nodes += out.nodes_explored
-        if out.status == BUDGET_EXHAUSTED:
+        nodes_left = None if cfg.node_budget is None else cfg.node_budget - total_nodes
+        secs_left = None if deadline is None else deadline - time.monotonic()
+        spent = nodes_left == 0 or (secs_left is not None and secs_left <= 0)
+        out = None if spent else exists_k(g, k, SolverConfig(nodes_left, secs_left))
+        if out is None or out.status == BUDGET_EXHAUSTED:
             raise BudgetExceeded(
                 f"budget exhausted at k={k}; proved_lower={k - 1}, upper={g.n}"
             )
+        total_nodes += out.nodes_explored
         if out.feasible:
             witness = out.witness
             verdict = is_harmonious(g, witness)

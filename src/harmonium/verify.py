@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Graph, bfs_distances, closed_n2, stats
+from .graph import Graph, closed_n2, diameter, stats
 
 
 @dataclass(frozen=True)
@@ -93,20 +93,13 @@ def edge_pair_table(g: Graph, c: Coloring) -> dict[tuple[int, int], list[tuple[i
 class BoundsReport:
     """Lower bounds on the harmonious chromatic number, plus context.
 
-    size_bound, delta_bound and (for diameter-2 graphs) n2_bound are
-    valid lower bounds; combined is their maximum over the applicable
-    ones. n2_bound is reported for every graph but only enters combined
-    when the diameter is at most 2: two same-colored vertices force a
-    repeated pair only when they are within distance 2 of each other,
-    which membership in a common N2[v] does not imply in general
-    (colors 1,2,3,1,4 on the 5-path beat max |N2[v]| = 5).
-    regular33_bound is 7 for 3-regular diameter-3 graphs. The two
-    classical upper-bound formulas are evaluated for context only.
+    combined is the largest of size_bound, delta_bound, regular33_bound (7
+    for 3-regular diameter-3 graphs) and, for diameter at most 2, n. The
+    two classical upper-bound formulas are evaluated for context only.
     """
 
     size_bound: int
     delta_bound: int
-    n2_bound: int
     regular33_bound: int | None
     combined: int
     upper_trivial: int  # n: all-distinct coloring
@@ -115,28 +108,28 @@ class BoundsReport:
 
 
 def lower_bounds(g: Graph) -> BoundsReport:
-    """Evaluate every known lower bound and combine the applicable ones."""
+    """Evaluate every known lower bound and combine the applicable ones.
+
+    Two vertices within distance 2 of each other need different colors:
+    adjacent ones because the coloring is proper, and two with a common
+    neighbor w because equal colors would repeat a pair at w. So h = n
+    when every closed distance-2 ball is the whole vertex set. Only cubic
+    graphs that fail that test pay for the O(n·m) diameter.
+    """
     st = stats(g)
     size_bound = math.ceil((1 + math.isqrt(8 * st.m + 1)) / 2)
     if (size_bound * (size_bound - 1)) // 2 < st.m:  # isqrt truncation
         size_bound += 1
     delta_bound = st.max_degree + 1
-    n2_bound = max((len(closed_n2(g, v)) for v in range(g.n)), default=0)
-    regular33 = None
-    if g.n > 0 and st.diameter == 3 and all(d == 3 for d in st.degree_sequence):
-        regular33 = 7
-    candidates = [size_bound, delta_bound]
-    if 0 <= st.diameter <= 2:
-        candidates.append(n2_bound)
-    if regular33 is not None:
-        candidates.append(regular33)
+    within2 = g.n > 0 and all(len(closed_n2(g, v)) == g.n for v in range(g.n))
+    cubic = all(d == 3 for d in st.degree_sequence)
+    regular33 = 7 if not within2 and cubic and diameter(g) == 3 else None
     delta = st.max_degree
     return BoundsReport(
         size_bound=size_bound,
         delta_bound=delta_bound,
-        n2_bound=n2_bound,
         regular33_bound=regular33,
-        combined=max(candidates, default=1),
+        combined=max(size_bound, delta_bound, g.n if within2 else 0, regular33 or 0),
         upper_trivial=g.n,
         upper_lee_mitchem=(delta * delta + 1) * math.ceil(math.sqrt(g.n)) if g.n else 0,
         upper_mcdiarmid=math.ceil(2 * delta * math.sqrt(g.n - 1)) if g.n > 1 else g.n,

@@ -15,6 +15,7 @@ from harmonium import (
     color_closed_sun,
     color_sun,
     color_sunflower,
+    diameter,
     exists_k,
     greedy,
     h_cycle,
@@ -103,7 +104,7 @@ def test_criterion_4_diameter_two_suite():
     ]
     failures = []
     for label, g, exp in suite:
-        if stats(g).diameter > 2:
+        if diameter(g) > 2:
             failures.append(f"{label}: diameter > 2")
             continue
         if exp != g.n:

@@ -89,7 +89,11 @@ def test_bound(capsys):
     code, out, _ = run(capsys, "bound", "name:petersen")
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["n2_bound"] == 10 and payload["combined"] == 10
+    assert payload["combined"] == 10
+    assert sorted(payload) == [
+        "combined", "delta_bound", "regular33_bound", "size_bound",
+        "upper_lee_mitchem", "upper_mcdiarmid", "upper_trivial",
+    ]
 
 
 def test_check_ok_and_mismatch(tmp_path, capsys):
@@ -223,7 +227,21 @@ def test_reproduce_raising_rows_fail(monkeypatch, capsys):
                         lambda scope, budget: iter([rows[0], rows[2]]))
     code, out, _ = run(capsys, "reproduce")
     assert code == EXIT_MISMATCH
-    assert "MISMATCH" in out
+    assert "ERROR" in out and "MISMATCH" not in out
+
+
+def test_reproduce_table_marks(monkeypatch, capsys):
+    rows = [
+        ("good", 3, lambda: 3),
+        ("wrong", 4, lambda: 5),
+        ("budget", 4, _raise(BudgetExceeded("budget exhausted at k=4"))),
+        ("crash", 5, _raise(RuntimeError("bug"))),
+    ]
+    monkeypatch.setattr("harmonium.cli._reproduce_rows", lambda scope, budget: iter(rows))
+    code, out, _ = run(capsys, "reproduce")
+    assert code == EXIT_BUDGET
+    marks = {line.split()[0]: line.split()[-1] for line in out.splitlines()}
+    assert marks == {"good": "ok", "wrong": "MISMATCH", "budget": "BUDGET", "crash": "ERROR"}
 
 
 def test_export_dot(tmp_path, capsys):

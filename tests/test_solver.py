@@ -3,6 +3,7 @@ import pytest
 from harmonium import (
     BUDGET_EXHAUSTED,
     INFEASIBLE,
+    BudgetExceeded,
     SolverConfig,
     exists_k,
     from_edge_list,
@@ -128,6 +129,20 @@ def test_budget_never_masquerades_as_infeasible():
     g = named("planar33_12_1")
     out = exists_k(g, 8, SolverConfig(node_budget=3))
     assert out.status == BUDGET_EXHAUSTED  # k=8 is actually feasible
+
+
+def test_node_budget_bounds_the_whole_solve():
+    # franklin tries k = 7, 8, 9 with 76, 163 and 13 nodes: every k fits in
+    # 200 nodes on its own, but the 252 nodes of the whole solve do not
+    g = named("franklin")
+    per_k = [exists_k(g, k).nodes_explored for k in (7, 8, 9)]
+    assert max(per_k) < 200 < sum(per_k) == solve(g).nodes_explored
+    with pytest.raises(BudgetExceeded):
+        solve(g, SolverConfig(node_budget=200))
+    with pytest.raises(BudgetExceeded):
+        solve(g, SolverConfig(node_budget=sum(per_k) - 1))
+    res = solve(g, SolverConfig(node_budget=sum(per_k)))
+    assert res.h == 9 and res.nodes_explored == sum(per_k)
 
 
 def test_invalid_config():

@@ -5,6 +5,7 @@ import pytest
 
 from harmonium import (
     Coloring,
+    diameter,
     edge_pair_table,
     from_edge_list,
     is_harmonious,
@@ -12,6 +13,7 @@ from harmonium import (
     named,
     oracle_h,
     solve,
+    stats,
 )
 from harmonium.families import complete, cycle, path, star
 
@@ -91,12 +93,12 @@ def test_verdict_equivalent_to_table(rng):
 
 def test_bounds_k4():
     b = lower_bounds(complete(4))
-    assert (b.size_bound, b.delta_bound, b.n2_bound, b.combined) == (4, 4, 4, 4)
+    assert (b.size_bound, b.delta_bound, b.combined) == (4, 4, 4)
 
 
 def test_bounds_petersen():
     b = lower_bounds(named("petersen"))
-    assert b.n2_bound == 10 and b.combined == 10
+    assert b.combined == 10
 
 
 def test_bounds_truncated_tetrahedron():
@@ -123,7 +125,6 @@ def test_p5_shows_n2_not_a_general_bound():
     g = path(5)
     assert is_harmonious(g, Coloring((1, 2, 3, 1, 4))).ok
     b = lower_bounds(g)
-    assert b.n2_bound == 5
     assert b.combined <= 4
 
 
@@ -147,12 +148,50 @@ def test_exact_h_at_least_combined(rng):
 
 def test_diameter2_exact_h_is_n(rng):
     from conftest import random_graph
-    from harmonium import stats
 
     found = 0
     for _ in range(80):
         g = random_graph(rng.randint(2, 9), rng.uniform(0.4, 0.9), rng)
-        if 0 <= stats(g).diameter <= 2:
+        if 0 <= diameter(g) <= 2:
             assert solve(g).h == g.n
             found += 1
     assert found > 10
+
+
+def test_degree_facts_and_bounds_need_no_bfs(monkeypatch):
+    def no_bfs(g, source):
+        raise AssertionError("bfs_distances called")
+
+    monkeypatch.setattr("harmonium.graph.bfs_distances", no_bfs)
+    for g in (path(200), named("petersen"), from_edge_list(4, [(0, 1), (2, 3)]),
+              from_edge_list(0, []), from_edge_list(1, [])):
+        st = stats(g)
+        assert sum(st.degree_sequence) == 2 * st.m
+    # non-cubic, diameter 199: only the size and degree bounds apply
+    b = lower_bounds(path(200))
+    assert b.regular33_bound is None
+    assert b.combined == b.size_bound == 21
+    # cubic with diameter 2: the distance-2 test settles it without a diameter
+    assert lower_bounds(named("petersen")).combined == 10
+
+
+def test_combined_matches_the_definition(rng):
+    from conftest import random_graph
+
+    disconnected = 0
+    for i in range(200):
+        g = random_graph(i % 10, rng.uniform(0.0, 0.9), rng)
+        diam = diameter(g)
+        disconnected += diam < 0
+        size = 1
+        while size * (size - 1) // 2 < g.m:
+            size += 1
+        cubic = all(g.degree(v) == 3 for v in range(g.n))
+        expected = max(
+            size,
+            max((g.degree(v) for v in range(g.n)), default=0) + 1,
+            g.n if 0 <= diam <= 2 else 0,
+            7 if cubic and diam == 3 else 0,
+        )
+        assert lower_bounds(g).combined == expected
+    assert disconnected > 10
