@@ -1,13 +1,12 @@
 """Catalog of named graphs with embedded edge lists.
 
-The planar33_* entries are the complete sets of 3-regular planar
-diameter-3 graphs on 8, 10 and 12 vertices (3, 6 and 2 isomorphism
-classes respectively). The figures they were checked against are not
-machine-readable, so each entry was derived by exhaustive sampling of
-random cubic graphs followed by planarity/diameter filtering and
-isomorphism dedup until the known class counts were reached; the counts
-make the sets self-certifying. Tests re-verify degree sequence and
-diameter for every entry.
+The planar33_* entries are 3-regular planar diameter-3 graphs on 8, 10
+and 12 vertices (3, 6 and 2 isomorphism classes respectively). They were
+found by random sampling of cubic graphs followed by planarity/diameter
+filtering and isomorphism dedup, stopping once the known class counts
+were reached. Nothing in this repository yet certifies that these are all
+such graphs: that needs an exhaustive enumerator. Tests re-verify
+degree sequence and diameter for every entry.
 """
 
 from __future__ import annotations
@@ -26,11 +25,6 @@ class CatalogEntry:
     edges: tuple[tuple[int, int], ...]
     regular: int | None  # common degree when regular, else None
     diameter: int
-    note: str = ""
-
-
-def _entry(name, n, edges, regular, diameter, note=""):
-    return CatalogEntry(name, n, tuple(edges), regular, diameter, note)
 
 
 _PETERSEN: Edges = (
@@ -122,8 +116,8 @@ _PLANAR33_12: list[Edges] = [
 CATALOG: dict[str, CatalogEntry] = {}
 
 
-def _register(name, n, edges, regular, diameter, note=""):
-    CATALOG[name] = _entry(name, n, edges, regular, diameter, note)
+def _register(name, n, edges, regular, diameter):
+    CATALOG[name] = CatalogEntry(name, n, tuple(edges), regular, diameter)
 
 
 _register("petersen", 10, _PETERSEN, 3, 2)
@@ -138,15 +132,11 @@ _register("bidiakis", 12, _BIDIAKIS, 3, 3)
 _register("yutsis", 12, _YUTSIS, 3, 3)
 _register("truncated_tetrahedron", 12, _TRUNCATED_TETRAHEDRON, 3, 3)
 for _i, _edges in enumerate(_PLANAR33_8, start=1):
-    _register(f"planar33_8_{_i}", 8, _edges, 3, 3, "planar")
+    _register(f"planar33_8_{_i}", 8, _edges, 3, 3)
 for _i, _edges in enumerate(_PLANAR33_10, start=1):
-    _register(f"planar33_10_{_i}", 10, _edges, 3, 3, "planar")
+    _register(f"planar33_10_{_i}", 10, _edges, 3, 3)
 for _i, _edges in enumerate(_PLANAR33_12, start=1):
-    _register(f"planar33_12_{_i}", 12, _edges, 3, 3, "planar")
-
-
-def names() -> list[str]:
-    return list(CATALOG)
+    _register(f"planar33_12_{_i}", 12, _edges, 3, 3)
 
 
 def named(name: str) -> Graph:

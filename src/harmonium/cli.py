@@ -4,6 +4,9 @@ Exit codes: 0 ok, 1 mismatch/infeasible/verification failure, 2 usage
 error, 3 budget exhausted. JSON is the machine interface; tables are for
 humans. Graphs are referenced by file path, `name:<catalog-entry>` or
 `family:<family>:<n>[:<m>]`.
+
+`solve --json` keys: h, witness, nodes_explored, elapsed (with --k: k,
+status, nodes_explored, elapsed and, if feasible, witness).
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+REPRODUCE_ROW_BUDGET_S = 600.0  # per-row solve budget in seconds: only a hang guard
 
 # muted palette for DOT fills, cycled by color index
 _PALETTE = (
@@ -111,13 +116,6 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _solver_cfg(args) -> SolverConfig:
-    return SolverConfig(
-        node_budget=getattr(args, "budget_nodes", None),
-        time_budget=getattr(args, "budget_secs", None),
-    )
-
-
 def cmd_gen(args) -> int:
     if args.list:
         for name, entry in catalog.CATALOG.items():
@@ -138,7 +136,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     g = load_graph(args.graph)
-    cfg = _solver_cfg(args)
+    cfg = SolverConfig(node_budget=args.budget_nodes, time_budget=args.budget_secs)
     t0 = time.monotonic()
     if args.k is not None:
         out = exists_k(g, args.k, cfg)
@@ -167,7 +165,6 @@ def cmd_solve(args) -> int:
         "witness": list(res.witness.colors),
         "nodes_explored": res.nodes_explored,
         "elapsed": res.elapsed,
-        "proved_lower": res.proved_lower,
     }
     if args.json:
         print(json.dumps(payload))
@@ -282,7 +279,7 @@ def cmd_reduce(args) -> int:
         payload["gap_ratio"] = float(reduction.gap_ratio(c, s))
     _write(args.output, emit_edge_list(inst.gadget))
     if args.verify:
-        report = reduction.verify_equivalence(g, args.k, _solver_cfg(args))
+        report = reduction.verify_equivalence(g, args.k)
         payload.update(
             is_exists=report.is_exists,
             colorable_at_threshold=report.colorable_at_threshold,
@@ -294,66 +291,64 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_rows(scope: str, per_entry_budget: float):
+def _checked_colors(g: Graph, c: Coloring) -> int:
+    """Colors used by c, or -1 when c is not a harmonious coloring of g."""
+    return c.k if is_harmonious(g, c).ok else -1
+
+
+def _reproduce_rows():
     """Yield (graph_id, expected_h, solver_callable) triples."""
-    cfg = SolverConfig(time_budget=per_entry_budget)
+    cfg = SolverConfig(time_budget=REPRODUCE_ROW_BUDGET_S)
 
     def solver_for(g):
         return lambda: solve(g, cfg).h
 
-    if scope in ("all", "regular33"):
-        for i in range(1, 4):
-            yield f"planar33_8_{i}", 7, solver_for(catalog.named(f"planar33_8_{i}"))
-        for i in range(1, 7):
-            yield f"planar33_10_{i}", 7, solver_for(catalog.named(f"planar33_10_{i}"))
-        for i in range(1, 3):
-            yield f"planar33_12_{i}", 8, solver_for(catalog.named(f"planar33_12_{i}"))
-        for name, exp in [("bidiakis", 8), ("franklin", 9), ("tietze", 9), ("yutsis", 9)]:
-            yield name, exp, solver_for(catalog.named(name))
-        yield "GP(5,1)", 7, solver_for(families.generalized_petersen(5, 1))
-    if scope in ("all", "cycle_families"):
-        for n, exp in [(3, 7), (4, 7), (5, 8), (6, 8)]:
-            yield f"sunflower({n})", exp, solver_for(families.sunflower(n))
-        for n in (7, 8, 9):
-            yield f"sunflower({n})", n + 1, (
-                lambda n=n: constructive.color_sunflower(n).k
-                if is_harmonious(families.sunflower(n), constructive.color_sunflower(n)).ok
-                else -1
-            )
-        for n in (5, 6):
-            yield f"sun({n})", n + 2 if n % 2 == 0 else n + 3, solver_for(families.sun(n))
-        for n, exp in [(5, 10), (6, 11)]:
-            yield f"closed_sun({n})", exp, solver_for(families.closed_sun(n))
-        yield "lollipop(6,4)", 8, solver_for(families.lollipop(6, 4))
-    if scope in ("all", "greedy"):
-        for N in (4, 5, 6):
-            tree, order = families.adversarial_tree(N)
-            yield (
-                f"greedy(adversarial_tree({N}))",
-                (N - 1) ** 2 + 1,
-                lambda t=tree, o=order: heuristics.greedy(t, o).k,
-            )
-            yield (
-                f"good_coloring({N}) <= {2 * N - 2}",
-                1,
-                lambda t=tree, N=N: int(
-                    heuristics.adversarial_good_coloring(N).k <= 2 * N - 2
-                    and is_harmonious(t, heuristics.adversarial_good_coloring(N)).ok
-                ),
-            )
-    if scope in ("all", "reduction"):
-        for n, k, exp in [(5, 2, 1), (5, 3, 1), (4, 1, 1)]:
-            yield (
-                f"reduction(C_{n}, k={k})",
-                exp,
-                lambda n=n, k=k: int(reduction.verify_equivalence(families.cycle(n), k).equivalent),
-            )
+    for i in range(1, 4):
+        yield f"planar33_8_{i}", 7, solver_for(catalog.named(f"planar33_8_{i}"))
+    for i in range(1, 7):
+        yield f"planar33_10_{i}", 7, solver_for(catalog.named(f"planar33_10_{i}"))
+    for i in range(1, 3):
+        yield f"planar33_12_{i}", 8, solver_for(catalog.named(f"planar33_12_{i}"))
+    for name, exp in [("bidiakis", 8), ("franklin", 9), ("tietze", 9), ("yutsis", 9)]:
+        yield name, exp, solver_for(catalog.named(name))
+    yield "GP(5,1)", 7, solver_for(families.generalized_petersen(5, 1))
+    for n, exp in [(3, 7), (4, 7), (5, 8), (6, 8)]:
+        yield f"sunflower({n})", exp, solver_for(families.sunflower(n))
+    for n in (7, 8, 9):
+        yield f"sunflower({n})", n + 1, (
+            lambda n=n: _checked_colors(families.sunflower(n), constructive.color_sunflower(n))
+        )
+    for n in (5, 6):
+        yield f"sun({n})", n + 2 if n % 2 == 0 else n + 3, solver_for(families.sun(n))
+    for n, exp in [(5, 10), (6, 11)]:
+        yield f"closed_sun({n})", exp, solver_for(families.closed_sun(n))
+    yield "lollipop(6,4)", 8, solver_for(families.lollipop(6, 4))
+    for N in (4, 5, 6):
+        tree, order = families.adversarial_tree(N)
+        yield (
+            f"greedy(adversarial_tree({N}))",
+            (N - 1) ** 2 + 1,
+            lambda t=tree, o=order: heuristics.greedy(t, o).k,
+        )
+        yield (
+            f"good_coloring({N}) <= {2 * N - 2}",
+            1,
+            lambda t=tree, N=N: int(
+                0 < _checked_colors(t, heuristics.adversarial_good_coloring(N)) <= 2 * N - 2
+            ),
+        )
+    for n, k, exp in [(5, 2, 1), (5, 3, 1), (4, 1, 1)]:
+        yield (
+            f"reduction(C_{n}, k={k})",
+            exp,
+            lambda n=n, k=k: int(reduction.verify_equivalence(families.cycle(n), k).equivalent),
+        )
 
 
 def cmd_reproduce(args) -> int:
     rows: list[RunRecord] = []
     marks: list[str] = []
-    for graph_id, expected, run in _reproduce_rows(args.scope, args.time_budget):
+    for graph_id, expected, run in _reproduce_rows():
         t0 = time.monotonic()
         try:
             computed: int | str = run()
@@ -422,9 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vc-color", help="vertex-cover-based coloring")
     p.add_argument("graph")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", default=True)
-    group.add_argument("--approx", action="store_true")
+    p.add_argument("--approx", action="store_true", help="2-approximate vertex cover")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_vc_color)
 
@@ -446,10 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("reproduce", help="recompute the published values")
-    p.add_argument("--scope", default="all",
-                   choices=("all", "regular33", "cycle_families", "greedy", "reduction"))
-    p.add_argument("--time-budget", type=float, default=600.0,
-                   help="per-entry solver budget in seconds")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_reproduce)
 

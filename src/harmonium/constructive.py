@@ -15,29 +15,28 @@ import threading
 from dataclasses import dataclass
 
 from . import families
-from .graph import Graph
-from .solver import SolverConfig, solve
+from .solver import solve
 from .verify import Coloring
 
 _H_CYCLE_MAX = 16
-_h_cycle_cache: dict[int, int] = {}
+_h_cycle_cache: dict[int, Coloring] = {}
 _h_cycle_lock = threading.Lock()
 
 
-def h_cycle(n: int) -> int:
-    """Exact h(C_n) for 3 <= n <= 16, solver-backed and memoized."""
+def cycle_coloring(n: int) -> Coloring:
+    """An optimal harmonious coloring of C_n for 3 <= n <= 16: the
+    solver's witness, memoized so each n is solved once."""
     if not 3 <= n <= _H_CYCLE_MAX:
-        raise ValueError(f"h_cycle supports 3 <= n <= {_H_CYCLE_MAX}, got {n}")
+        raise ValueError(f"cycle colorings cover 3 <= n <= {_H_CYCLE_MAX}, got {n}")
     with _h_cycle_lock:
         if n not in _h_cycle_cache:
-            _h_cycle_cache[n] = solve(families.cycle(n)).h
+            _h_cycle_cache[n] = solve(families.cycle(n)).witness
         return _h_cycle_cache[n]
 
 
-def cycle_coloring(n: int) -> Coloring:
-    """An optimal harmonious coloring of C_n (solver witness)."""
-    res = solve(families.cycle(n), SolverConfig(start_k=h_cycle(n)))
-    return res.witness
+def h_cycle(n: int) -> int:
+    """Exact h(C_n) for 3 <= n <= 16, the size of cycle_coloring(n)."""
+    return cycle_coloring(n).k
 
 
 def color_sunflower(n: int) -> Coloring:
@@ -211,16 +210,12 @@ def lollipop_plan(n: int, m: int) -> LollipopPlan:
 
 def lollipop_coloring(plan: LollipopPlan) -> Coloring:
     """Derive the coloring of L_{n,m} from a plan: clique vertex i gets
-    color i+1, the j-th path vertex gets trail[j]."""
+    color i+1, the j-th path vertex gets trail[j]. The junction, clique
+    vertex 0, is trail[0], which is color 1."""
     n, m = plan.n, plan.m
     colors = [0] * (n + m - 1)
     for i in range(n):
         colors[i] = i + 1
-    colors[0] = plan.trail[0]  # junction; trail starts at 1 so this is a no-op
     for j in range(1, m):
         colors[n + j - 1] = plan.trail[j]
     return Coloring(tuple(colors))
-
-
-def lollipop_graph(plan: LollipopPlan) -> Graph:
-    return families.lollipop(plan.n, plan.m)

@@ -31,9 +31,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending lexicographic order."""
         return sorted(self.edges)
@@ -106,10 +103,20 @@ def closed_n2(g: Graph, v: int) -> set[int]:
     return {v, *g.adj[v]}.union(*(g.adj[w] for w in g.adj[v]))
 
 
+def _int_pair(tokens: list[str], form: str) -> tuple[int, int]:
+    try:
+        a, b = map(int, tokens)
+    except ValueError:
+        raise ValueError(f"expected a line '{form}', got {' '.join(tokens)!r}") from None
+    return a, b
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the canonical on-disk format: `n m` header then `u v` lines.
 
-    Lines starting with `#` are comments and ignored.
+    Lines starting with `#` are comments and ignored. Every other line
+    must be exactly two integers; a line that is not raises ValueError
+    naming it.
     """
     rows = [
         line.split()
@@ -118,13 +125,10 @@ def parse_edge_list(text: str) -> Graph:
     ]
     if not rows:
         raise ValueError("empty edge-list input")
-    header = rows[0]
-    if len(header) != 2:
-        raise ValueError(f"expected header 'n m', got {' '.join(header)!r}")
-    n, m = int(header[0]), int(header[1])
+    n, m = _int_pair(rows[0], "n m")
     if len(rows) - 1 != m:
         raise ValueError(f"header declares {m} edges, found {len(rows) - 1}")
-    pairs = [(int(r[0]), int(r[1])) for r in rows[1:]]
+    pairs = [_int_pair(r, "u v") for r in rows[1:]]
     g = from_edge_list(n, pairs)
     if g.m != m:
         raise ValueError(f"edge list contains duplicates: {m} declared, {g.m} distinct")

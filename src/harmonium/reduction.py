@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .graph import Graph, from_edge_list
 from .heuristics import max_independent_set
-from .solver import SolverConfig, exists_k
+from .solver import exists_k
 from .verify import Coloring
 
 VERIFY_MAX_N = 6
@@ -97,16 +97,14 @@ class EquivalenceReport:
         return self.is_exists == self.colorable_at_threshold
 
 
-def verify_equivalence(g: Graph, k: int, cfg: SolverConfig | None = None) -> EquivalenceReport:
+def verify_equivalence(g: Graph, k: int) -> EquivalenceReport:
     """Certify the biconditional on one small instance: G has a size-k
     independent set iff the gadget is threshold-colorable."""
     if g.n > VERIFY_MAX_N:
         raise ValueError(f"equivalence check guarded to n <= {VERIFY_MAX_N}, got {g.n}")
     inst = build(g, k)
     alpha = len(max_independent_set(g))
-    outcome = exists_k(inst.gadget, inst.threshold, cfg)
-    if outcome.status == "budget_exhausted":
-        raise RuntimeError("budget exhausted while certifying the gadget")
+    outcome = exists_k(inst.gadget, inst.threshold)
     return EquivalenceReport(
         is_exists=alpha >= k,
         colorable_at_threshold=outcome.feasible,

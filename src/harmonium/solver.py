@@ -37,7 +37,6 @@ class BudgetExceeded(Exception):
 class SolverConfig:
     node_budget: int | None = None
     time_budget: float | None = None  # seconds
-    start_k: int | None = None  # defaults to the combined lower bound
 
     def __post_init__(self):
         if self.node_budget is not None and self.node_budget <= 0:
@@ -65,7 +64,6 @@ class SolveResult:
     witness: Coloring
     nodes_explored: int
     elapsed: float
-    proved_lower: int  # largest k shown infeasible (start_k - 1 if first k succeeded)
 
 
 class _Search:
@@ -121,8 +119,9 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
     """Decide whether g has a harmonious k-coloring.
 
     Returns a witness, an exhaustive INFEASIBLE, or BUDGET_EXHAUSTED.
+    Only the empty graph may ask for k = 0.
     """
-    if k < 1:
+    if k < min(g.n, 1):
         raise ValueError(f"color budget must be >= 1, got {k}")
     cfg = cfg or SolverConfig()
     if g.n == 0:
@@ -145,16 +144,16 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
 def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Exact harmonious chromatic number with witness and statistics.
 
-    Iterates exists_k upward from the combined lower bound (or
-    cfg.start_k). The node and time budgets bound the whole solve: each
-    k gets what the earlier ones left. Budget exhaustion raises
-    BudgetExceeded carrying the bracketing information in its message; a
-    witness that fails verification raises RuntimeError.
+    Iterates exists_k upward from the combined lower bound; h is the
+    first k with a witness. The node and time budgets bound the whole
+    solve: each k gets what the earlier ones left. Budget exhaustion
+    raises BudgetExceeded naming the k it stopped at; a witness that
+    fails verification raises RuntimeError.
     """
     cfg = cfg or SolverConfig()
     t0 = time.monotonic()
     deadline = t0 + cfg.time_budget if cfg.time_budget else None
-    k = cfg.start_k if cfg.start_k is not None else max(1, lower_bounds(g).combined)
+    k = lower_bounds(g).combined
     total_nodes = 0
     while True:
         nodes_left = None if cfg.node_budget is None else cfg.node_budget - total_nodes
@@ -163,7 +162,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
         out = None if spent else exists_k(g, k, SolverConfig(nodes_left, secs_left))
         if out is None or out.status == BUDGET_EXHAUSTED:
             raise BudgetExceeded(
-                f"budget exhausted at k={k}; proved_lower={k - 1}, upper={g.n}"
+                f"budget exhausted at k={k}; h is between {k} and {g.n}"
             )
         total_nodes += out.nodes_explored
         if out.feasible:
@@ -176,10 +175,9 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
                 witness=witness,
                 nodes_explored=total_nodes,
                 elapsed=time.monotonic() - t0,
-                proved_lower=k - 1,
             )
         k += 1
-        if k > max(g.n, 1):
+        if k > g.n:
             raise AssertionError("all-distinct coloring must be feasible")
 
 

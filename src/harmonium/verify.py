@@ -94,8 +94,8 @@ class BoundsReport:
     """Lower bounds on the harmonious chromatic number, plus context.
 
     combined is the largest of size_bound, delta_bound, regular33_bound (7
-    for 3-regular diameter-3 graphs) and, for diameter at most 2, n. The
-    two classical upper-bound formulas are evaluated for context only.
+    for 3-regular diameter-3 graphs) and, for diameter at most 2, n; it is
+    0 for the empty graph. The upper-bound formulas are context only.
     """
 
     size_bound: int
@@ -124,12 +124,13 @@ def lower_bounds(g: Graph) -> BoundsReport:
     within2 = g.n > 0 and all(len(closed_n2(g, v)) == g.n for v in range(g.n))
     cubic = all(d == 3 for d in st.degree_sequence)
     regular33 = 7 if not within2 and cubic and diameter(g) == 3 else None
+    combined = max(size_bound, delta_bound, g.n if within2 else 0, regular33 or 0)
     delta = st.max_degree
     return BoundsReport(
         size_bound=size_bound,
         delta_bound=delta_bound,
         regular33_bound=regular33,
-        combined=max(size_bound, delta_bound, g.n if within2 else 0, regular33 or 0),
+        combined=combined if g.n else 0,
         upper_trivial=g.n,
         upper_lee_mitchem=(delta * delta + 1) * math.ceil(math.sqrt(g.n)) if g.n else 0,
         upper_mcdiarmid=math.ceil(2 * delta * math.sqrt(g.n - 1)) if g.n > 1 else g.n,

@@ -244,11 +244,12 @@ def test_criterion_10_oracle_parity():
     from harmonium import from_edge_list
     from harmonium.families import complete, cycle, path, star
 
-    corpus = [cycle(n) for n in range(3, 9)]
+    corpus = [from_edge_list(0, [])]
+    corpus += [cycle(n) for n in range(3, 9)]
     corpus += [path(n) for n in range(2, 9)]
     corpus += [complete(n) for n in range(1, 8)]
     corpus += [star(n) for n in range(1, 8)]
-    while len(corpus) < 45:
+    while len(corpus) < 46:
         n = rng.randint(1, 8)
         p = rng.uniform(0.1, 0.8)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]

@@ -53,6 +53,7 @@ def test_solve_json(capsys):
     code, out, _ = run(capsys, "solve", "family:cycle:6", "--json")
     assert code == EXIT_OK
     payload = json.loads(out)
+    assert sorted(payload) == ["elapsed", "h", "nodes_explored", "witness"]
     assert payload["h"] == 5
     assert len(payload["witness"]) == 6
 
@@ -83,6 +84,25 @@ def test_solve_crash_is_not_a_budget_stop(monkeypatch):
 def test_solve_parallel_flag_removed(capsys):
     code, _, _ = run(capsys, "solve", "name:petersen", "--parallel")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ("reproduce", "--scope", "all"),
+    ("reproduce", "--time-budget", "5"),
+    ("vc-color", "family:cycle:6", "--exact"),
+])
+def test_removed_options_are_usage_errors(capsys, argv):
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("edge_line", ["0", "0 1 2"])
+def test_solve_malformed_edge_line(tmp_path, capsys, edge_line):
+    g_file = tmp_path / "bad.edges"
+    g_file.write_text(f"3 1\n{edge_line}\n")
+    code, _, err = run(capsys, "solve", str(g_file))
+    assert code == EXIT_USAGE
+    assert f"expected a line 'u v', got '{edge_line}'" in err
 
 
 def test_bound(capsys):
@@ -191,14 +211,16 @@ def test_reduce_gap(capsys):
     assert abs(json.loads(err)["gap_ratio"] - 7 / 6) < 1e-12
 
 
-def test_reproduce_scopes(capsys):
-    code, out, _ = run(capsys, "reproduce", "--scope", "greedy", "--json")
+def test_reproduce_full_table(capsys):
+    code, out, _ = run(capsys, "reproduce", "--json")
     assert code == EXIT_OK
     rows = json.loads(out)
-    assert rows and all(r["ok"] for r in rows)
-    code, out, _ = run(capsys, "reproduce", "--scope", "reduction")
+    assert len(rows) == 37
+    assert all(r["ok"] and r["computed"] == r["expected"] for r in rows)
+    assert len({r["graph_id"] for r in rows}) == 37
+    code, out, _ = run(capsys, "reproduce")
     assert code == EXIT_OK
-    assert "ok" in out and "MISMATCH" not in out
+    assert len(out.splitlines()) == 37 and "MISMATCH" not in out
 
 
 def _raise(exc):
@@ -214,7 +236,7 @@ def test_reproduce_raising_rows_fail(monkeypatch, capsys):
         ("budget", 4, _raise(BudgetExceeded("budget exhausted at k=4"))),
         ("crash", 5, _raise(RuntimeError("bug"))),
     ]
-    monkeypatch.setattr("harmonium.cli._reproduce_rows", lambda scope, budget: iter(rows))
+    monkeypatch.setattr("harmonium.cli._reproduce_rows", lambda: iter(rows))
     code, out, _ = run(capsys, "reproduce", "--json")
     assert code == EXIT_BUDGET
     payload = json.loads(out)
@@ -223,8 +245,7 @@ def test_reproduce_raising_rows_fail(monkeypatch, capsys):
     assert [r["ok"] for r in payload] == [True, False, False]
     assert payload[1]["computed"] == "SKIPPED (BudgetExceeded)"
 
-    monkeypatch.setattr("harmonium.cli._reproduce_rows",
-                        lambda scope, budget: iter([rows[0], rows[2]]))
+    monkeypatch.setattr("harmonium.cli._reproduce_rows", lambda: iter([rows[0], rows[2]]))
     code, out, _ = run(capsys, "reproduce")
     assert code == EXIT_MISMATCH
     assert "ERROR" in out and "MISMATCH" not in out
@@ -237,7 +258,7 @@ def test_reproduce_table_marks(monkeypatch, capsys):
         ("budget", 4, _raise(BudgetExceeded("budget exhausted at k=4"))),
         ("crash", 5, _raise(RuntimeError("bug"))),
     ]
-    monkeypatch.setattr("harmonium.cli._reproduce_rows", lambda scope, budget: iter(rows))
+    monkeypatch.setattr("harmonium.cli._reproduce_rows", lambda: iter(rows))
     code, out, _ = run(capsys, "reproduce")
     assert code == EXIT_BUDGET
     marks = {line.split()[0]: line.split()[-1] for line in out.splitlines()}

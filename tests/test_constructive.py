@@ -12,8 +12,9 @@ from harmonium import (
     lower_bounds,
     solve,
 )
+from harmonium import constructive
 from harmonium import families as fam
-from harmonium.constructive import cycle_coloring, lollipop_graph
+from harmonium.constructive import cycle_coloring
 
 # frozen against an independent brute-force run over C_3..C_16
 H_CYCLE = {
@@ -32,6 +33,21 @@ def test_h_cycle_guard():
         h_cycle(2)
     with pytest.raises(ValueError):
         h_cycle(17)
+
+
+def test_cycle_is_solved_once_per_n(monkeypatch):
+    calls = []
+
+    def counting_solve(g, *args):
+        calls.append(g.n)
+        return solve(g, *args)
+
+    monkeypatch.setattr(constructive, "solve", counting_solve)
+    monkeypatch.setattr(constructive, "_h_cycle_cache", {})
+    assert h_cycle(9) == H_CYCLE[9]
+    assert cycle_coloring(9).k == H_CYCLE[9]
+    assert color_closed_sun(9).k == 9 + H_CYCLE[9]
+    assert calls == [9]
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -113,7 +129,7 @@ def test_lollipop_formula_vs_solver(n, m):
 @pytest.mark.parametrize("m", range(2, 9))
 def test_lollipop_plan_coloring_verifies(n, m):
     plan = lollipop_plan(n, m)
-    g = lollipop_graph(plan)
+    g = fam.lollipop(n, m)
     c = lollipop_coloring(plan)
     assert is_harmonious(g, c).ok
     assert c.k == lollipop_h(n, m)
@@ -146,4 +162,4 @@ def test_lollipop_larger_spot_checks():
     for n, m in [(7, 3), (3, 12)]:
         assert lollipop_h(n, m) == solve(fam.lollipop(n, m)).h
         plan = lollipop_plan(n, m)
-        assert is_harmonious(lollipop_graph(plan), lollipop_coloring(plan)).ok
+        assert is_harmonious(fam.lollipop(n, m), lollipop_coloring(plan)).ok

@@ -123,3 +123,8 @@ def test_parse_comments_and_errors():
         parse_edge_list("3 2\n0 1\n")  # wrong edge count
     with pytest.raises(ValueError):
         parse_edge_list("")
+    # a line that is not exactly two integers is named in the error
+    for text, line in [("3 1\n0\n", "'u v', got '0'"), ("3 1\n0 1 2\n", "'u v', got '0 1 2'"),
+                       ("3 1\n0 x\n", "'u v', got '0 x'"), ("3\n", "'n m', got '3'")]:
+        with pytest.raises(ValueError, match=line):
+            parse_edge_list(text)

@@ -105,19 +105,6 @@ def test_monotonicity_spot_checks():
         assert exists_k(g, k).feasible
 
 
-def test_proved_lower_bracketing():
-    g = named("wagner")
-    res = solve(g)
-    assert res.h == 8
-    assert res.proved_lower == res.h - 1
-
-
-def test_solve_respects_start_k():
-    g = cycle(6)
-    res = solve(g, SolverConfig(start_k=1))
-    assert res.h == 5 and res.proved_lower == 4
-
-
 def test_node_budget_reports_exhaustion():
     g = named("franklin")
     out = exists_k(g, 8, SolverConfig(node_budget=5))
@@ -159,6 +146,8 @@ def test_removed_knobs_are_rejected():
         SolverConfig(parallel_roots=True)
     with pytest.raises(TypeError):
         SolverConfig(degree_order=True)
+    with pytest.raises(TypeError):
+        SolverConfig(start_k=9)
 
 
 def test_too_many_edges_rejected_without_search():
