@@ -11,7 +11,6 @@ with Hierholzer's algorithm truncated to m vertices.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from . import families
@@ -20,7 +19,6 @@ from .verify import Coloring
 
 _H_CYCLE_MAX = 16
 _h_cycle_cache: dict[int, Coloring] = {}
-_h_cycle_lock = threading.Lock()
 
 
 def cycle_coloring(n: int) -> Coloring:
@@ -28,10 +26,9 @@ def cycle_coloring(n: int) -> Coloring:
     solver's witness, memoized so each n is solved once."""
     if not 3 <= n <= _H_CYCLE_MAX:
         raise ValueError(f"cycle colorings cover 3 <= n <= {_H_CYCLE_MAX}, got {n}")
-    with _h_cycle_lock:
-        if n not in _h_cycle_cache:
-            _h_cycle_cache[n] = solve(families.cycle(n)).witness
-        return _h_cycle_cache[n]
+    if n not in _h_cycle_cache:
+        _h_cycle_cache[n] = solve(families.cycle(n)).witness
+    return _h_cycle_cache[n]
 
 
 def h_cycle(n: int) -> int:

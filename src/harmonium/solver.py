@@ -1,7 +1,9 @@
 """Exact harmonious chromatic number by pruned backtracking.
 
-exists_k colors vertices in index order, maintaining an incremental
-color-pair usage table. Three prunes keep the search small:
+exists_k colors vertices in index order in one loop over an explicit
+stack, so depth is not bounded by the recursion limit, and keeps each
+color's partners and each vertex's candidates as bitmasks. Three prunes
+keep the search small:
   - size: a graph with m > k(k-1)/2 edges is rejected before any search,
     because each edge needs its own color pair,
   - properness + pair uniqueness against already-colored neighbors,
@@ -17,6 +19,7 @@ independent to agree with.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
@@ -66,53 +69,83 @@ class SolveResult:
     elapsed: float
 
 
-class _Search:
-    """Sequential backtracking over the vertices in index order."""
+# the deadline is read once every _TICK nodes
+_TICK = 4096
+_NEVER = sys.maxsize
 
-    def __init__(self, g: Graph, k: int, node_budget: int | None, deadline: float | None):
-        self.k = k
-        self.n = g.n
-        # neighbors of v with a smaller index: colored before v
-        self.back = [[u for u in g.adj[v] if u < v] for v in range(g.n)]
-        self.color = [0] * g.n
-        self.pair_used = [[False] * (k + 1) for _ in range(k + 1)]
-        self.nodes = 0
-        self.node_budget = node_budget
-        self.deadline = deadline
 
-    def run(self) -> Coloring | None:
-        if self._rec(0, 0):
-            return Coloring(tuple(self.color))
-        return None
+def _search(g: Graph, k: int, node_budget: int | None,
+            deadline: float | None) -> SearchOutcome:
+    """Backtracking over the vertices in index order, with an explicit stack.
 
-    def _rec(self, v: int, maxc: int) -> bool:
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            raise BudgetExceeded
-        if self.deadline is not None and self.nodes % 4096 == 0 \
-                and time.monotonic() > self.deadline:
-            raise BudgetExceeded
-        if v == self.n:
-            return True
-        pair_used = self.pair_used
-        color = self.color
-        back = self.back[v]
-        for c in range(1, min(maxc + 1, self.k) + 1):
-            row = pair_used[c]
-            marked = []
-            for u in back:
-                cu = color[u]
-                if cu == c or row[cu]:
-                    break
-                row[cu] = pair_used[cu][c] = True
-                marked.append(cu)
-            else:
-                color[v] = c
-                if self._rec(v + 1, max(maxc, c)):
-                    return True
-            for cu in marked:
-                row[cu] = pair_used[cu][c] = False
-        return False
+    used[c] is the bitmask of the colors already paired with c. The
+    candidates at v are colors 1..min(maxc+1, k) minus the back neighbors'
+    colors and their partners, or none if two back neighbors share a color;
+    they are tried lowest first. Every entered vertex is one node, the
+    v == n leaf included.
+    """
+    n = g.n
+    # neighbors of v with a smaller index: colored before v
+    back = [[u for u in g.adj[v] if u < v] for v in range(n)]
+    # allowed[maxc]: a brand-new color must be maxc + 1 (symmetry breaking)
+    allowed = [(2 << min(maxc + 1, k)) - 2 for maxc in range(k + 1)]
+    used = [0] * (k + 1)
+    color = [0] * n
+    # the stack, per depth v: colors not tried yet, back colors' mask, maxc
+    untried = [0] * n
+    seen = [0] * n
+    tops = [0] * n
+    stop = _NEVER if node_budget is None else node_budget + 1
+    tick = _NEVER if deadline is None else _TICK
+    check_at = min(stop, tick)
+    nodes = 0
+    v = maxc = 0
+    while True:
+        nodes += 1
+        if nodes >= check_at:
+            if nodes >= stop or time.monotonic() > deadline:
+                return SearchOutcome(BUDGET_EXHAUSTED, None, nodes)
+            tick += _TICK
+            check_at = min(stop, tick)
+        if v == n:
+            return SearchOutcome("witness", Coloring(tuple(color)), nodes)
+        mask = forbid = 0
+        for u in back[v]:
+            cu = color[u]
+            bit = 1 << cu
+            if mask & bit:
+                cands = 0
+                break
+            mask |= bit
+            forbid |= used[cu]
+        else:
+            cands = allowed[maxc] & ~(mask | forbid)
+        if cands:
+            seen[v] = mask
+            tops[v] = maxc
+        while not cands:
+            v -= 1
+            if v < 0:
+                return SearchOutcome(INFEASIBLE, None, nodes)
+            c = color[v]
+            bit = 1 << c
+            mask = seen[v]
+            for u in back[v]:
+                used[color[u]] ^= bit
+            used[c] ^= mask
+            cands = untried[v]
+            maxc = tops[v]
+        # pairs are unique, so XOR sets them here and clears them on backtrack
+        bit = cands & -cands
+        untried[v] = cands ^ bit
+        c = bit.bit_length() - 1
+        color[v] = c
+        for u in back[v]:
+            used[color[u]] ^= bit
+        used[c] ^= mask
+        if c > maxc:
+            maxc = c
+        v += 1
 
 
 def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome:
@@ -131,14 +164,7 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
     if g.m > k * (k - 1) // 2:
         return SearchOutcome(INFEASIBLE, None, 1)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
-    search = _Search(g, k, cfg.node_budget, deadline)
-    try:
-        witness = search.run()
-    except BudgetExceeded:
-        return SearchOutcome(BUDGET_EXHAUSTED, None, search.nodes)
-    if witness is None:
-        return SearchOutcome(INFEASIBLE, None, search.nodes)
-    return SearchOutcome("witness", witness, search.nodes)
+    return _search(g, k, cfg.node_budget, deadline)
 
 
 def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:

@@ -13,7 +13,7 @@ from harmonium import (
     oracle_h,
     solve,
 )
-from harmonium.families import complete, cycle, path
+from harmonium.families import complete, cycle, generalized_petersen, path
 
 
 def test_k4_threshold():
@@ -130,6 +130,50 @@ def test_node_budget_bounds_the_whole_solve():
         solve(g, SolverConfig(node_budget=sum(per_k) - 1))
     res = solve(g, SolverConfig(node_budget=sum(per_k)))
     assert res.h == 9 and res.nodes_explored == sum(per_k)
+
+
+# The search tree of the index-order, lowest-color-first search: per-k
+# (status, nodes) from the lower bound up to h, and the witness at h.
+SEARCH_TREES = {
+    "C14": (cycle(14), {6: (INFEASIBLE, 4040), 7: ("witness", 16)},
+            (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 7)),
+    "GP7-2": (generalized_petersen(7, 2), {7: ("witness", 422)},
+              (1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7, 1, 2, 3)),
+    "GP8-3": (generalized_petersen(8, 3), {8: ("witness", 153)},
+              (1, 2, 3, 1, 4, 2, 5, 6, 7, 7, 4, 8, 5, 6, 3, 8)),
+    "yutsis": (named("yutsis"),
+               {7: (INFEASIBLE, 93), 8: (INFEASIBLE, 146), 9: ("witness", 54)},
+               (1, 2, 3, 4, 1, 5, 2, 4, 6, 7, 8, 9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_TREES))
+def test_search_tree_is_unchanged(name):
+    g, per_k, witness = SEARCH_TREES[name]
+    for k, (status, nodes) in per_k.items():
+        out = exists_k(g, k)
+        assert (out.status, out.nodes_explored) == (status, nodes), k
+        # a budget of exactly the tree's size finishes; one node less stops
+        assert exists_k(g, k, SolverConfig(node_budget=nodes)).status == status
+        short = exists_k(g, k, SolverConfig(node_budget=nodes - 1))
+        assert (short.status, short.witness) == (BUDGET_EXHAUSTED, None)
+    res = solve(g)
+    assert res.h == max(per_k) and res.witness.colors == witness
+    assert res.nodes_explored == sum(nodes for _, nodes in per_k.values())
+
+
+def test_deep_search_needs_no_recursion():
+    g = path(1500)  # 1500 levels deep: a recursive search overflows the stack
+    out = exists_k(g, 100)
+    assert out.feasible and is_harmonious(g, out.witness).ok
+
+
+def test_time_budget_stops_the_search():
+    g = cycle(20)  # proving k = 7 infeasible takes about 1.9M nodes
+    out = exists_k(g, 7, SolverConfig(time_budget=0.01))
+    assert (out.status, out.witness) == (BUDGET_EXHAUSTED, None)
+    with pytest.raises(BudgetExceeded):
+        solve(g, SolverConfig(time_budget=0.01))
 
 
 def test_invalid_config():
