@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import catalog, constructive, families, heuristics, reduction
-from .graph import Graph, emit_edge_list, from_edge_list, parse_edge_list, stats
+from .graph import Graph, _int_pair, _rows, emit_edge_list, parse_edge_list
 from .solver import BUDGET_EXHAUSTED, BudgetExceeded, SolverConfig, exists_k, solve
 from .verify import Coloring, is_harmonious, lower_bounds
 
@@ -57,23 +57,20 @@ def load_graph(spec: str) -> Graph:
 
 def load_coloring(path: str, n: int) -> Coloring:
     """Coloring file: one `vertex color` pair per line, # comments ok."""
-    colors = [0] * n
-    seen = [False] * n
+    colors: dict[int, int] = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            v_s, c_s = line.split()
-            v, c = int(v_s), int(c_s)
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} outside 0..{n - 1}")
-            colors[v] = c
-            seen[v] = True
-    if not all(seen):
-        missing = [v for v in range(n) if not seen[v]]
+        rows = _rows(fh.read())
+    for row in rows:
+        v, c = _int_pair(row, "v c")
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        if v in colors:
+            raise ValueError(f"vertex {v} is listed twice")
+        colors[v] = c
+    if len(colors) < n:
+        missing = [v for v in range(n) if v not in colors]
         raise ValueError(f"coloring is partial; missing vertices {missing}")
-    return Coloring(tuple(colors))
+    return Coloring(tuple(colors[v] for v in range(n)))
 
 
 def emit_coloring(c: Coloring) -> str:
@@ -218,8 +215,6 @@ def cmd_vc_color(args) -> int:
     mode = "approx" if args.approx else "exact"
     cover = heuristics.min_vertex_cover(g, mode)
     c = heuristics.vc_coloring(g, cover)
-    st = stats(g)
-    budget = cover.size + st.max_degree**2 - st.max_degree + 1
     _write(args.output, emit_coloring(c))
     print(
         json.dumps(
@@ -227,7 +222,7 @@ def cmd_vc_color(args) -> int:
                 "cover_size": cover.size,
                 "method": cover.method,
                 "colors_used": c.k,
-                "bound": budget,
+                "bound": heuristics.vc_budget(g, cover),
             }
         ),
         file=sys.stderr,

@@ -13,13 +13,6 @@ from dataclasses import dataclass
 
 from .graph import Graph, from_edge_list
 
-FAMILIES = (
-    "path", "cycle", "complete", "star", "wheel", "gear", "helm", "flower",
-    "double_wheel", "g_nn", "triangular_book", "book_with_bookmark", "jewel",
-    "sunflower", "sun", "closed_sun", "lollipop", "generalized_petersen",
-)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
@@ -188,6 +181,8 @@ _DISPATCH = {
     "jewel": jewel, "sunflower": sunflower, "sun": sun, "closed_sun": closed_sun,
     "lollipop": lollipop, "generalized_petersen": generalized_petersen,
 }
+
+FAMILIES = tuple(_DISPATCH)
 
 
 def generate(spec: FamilySpec) -> Graph:

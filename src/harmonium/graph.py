@@ -111,6 +111,15 @@ def _int_pair(tokens: list[str], form: str) -> tuple[int, int]:
     return a, b
 
 
+def _rows(text: str) -> list[list[str]]:
+    """The tokens of each line that is neither blank nor a `#` comment."""
+    return [
+        line.split()
+        for line in text.splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the canonical on-disk format: `n m` header then `u v` lines.
 
@@ -118,11 +127,7 @@ def parse_edge_list(text: str) -> Graph:
     must be exactly two integers; a line that is not raises ValueError
     naming it.
     """
-    rows = [
-        line.split()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    rows = _rows(text)
     if not rows:
         raise ValueError("empty edge-list input")
     n, m = _int_pair(rows[0], "n m")

@@ -1,5 +1,9 @@
 """Greedy coloring, the vertex-cover-based coloring, and the small
 exact vertex-cover / independent-set searches the reduction leans on.
+
+Both colorings give a vertex the lowest color, outside a forbidden mask,
+that repeats no pair with its neighbors' colors: one first-fit over
+partner bitmasks, partners[c] holding the colors already paired with c.
 """
 
 from __future__ import annotations
@@ -22,8 +26,24 @@ class VertexCoverResult:
         return len(self.cover)
 
 
-def _pair(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+def _first_fit(partners: list[int], nbr_colors: list[int], forbid: int) -> int:
+    """Lowest color > 0 outside forbid, the neighbor colors and their
+    partners; records its new pairs both ways in partners and returns it.
+    A repeated neighbor color would leave no harmonious color at all.
+    """
+    seen = 0
+    for cu in nbr_colors:
+        bit = 1 << cu
+        if seen & bit:
+            raise RuntimeError(f"neighbor color {cu} repeats; no color can be harmonious")
+        seen |= bit
+        forbid |= partners[cu]
+    forbid |= seen | 1
+    c = (~forbid & (forbid + 1)).bit_length() - 1
+    partners[c] |= seen
+    for cu in nbr_colors:
+        partners[cu] |= 1 << c
+    return c
 
 
 def greedy(g: Graph, order: list[int]) -> Coloring:
@@ -34,31 +54,22 @@ def greedy(g: Graph, order: list[int]) -> Coloring:
     neighbor with v: otherwise that neighbor would later see two
     same-colored neighbors and have no feasible color at all. With this
     rule the colored neighbors of every vertex carry distinct colors, so
-    a fresh color always works and the scan terminates.
+    a fresh color always works.
     """
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of 0..n-1")
     colors = [0] * g.n
-    used_pairs: set[tuple[int, int]] = set()
+    partners = [0] * (g.n + 1)  # first-fit never needs a color above n
     # colors held by a vertex two steps away through a then-uncolored middle
-    blocked: list[set[int]] = [set() for _ in range(g.n)]
+    blocked = [0] * g.n
     for v in order:
         nbr_colors = [colors[u] for u in g.adj[v] if colors[u] > 0]
-        c = 0
-        while True:
-            c += 1
-            if c in nbr_colors or c in blocked[v]:
-                continue
-            new_pairs = {_pair(c, cu) for cu in nbr_colors}
-            if len(new_pairs) == len(nbr_colors) and not (new_pairs & used_pairs):
-                break
-        colors[v] = c
-        used_pairs |= {_pair(c, cu) for cu in nbr_colors}
+        c = colors[v] = _first_fit(partners, nbr_colors, blocked[v])
         for x in g.adj[v]:
             if colors[x] == 0:
                 for w in g.adj[x]:
                     if w != v and colors[w] == 0:
-                        blocked[w].add(c)
+                        blocked[w] |= 1 << c
     return Coloring(tuple(colors))
 
 
@@ -142,39 +153,35 @@ def is_vertex_cover(g: Graph, cover: set[int] | frozenset[int]) -> bool:
     return all(u in cover or v in cover for u, v in g.edges)
 
 
+def vc_budget(g: Graph, cover: VertexCoverResult) -> int:
+    """VC + max_degree^2 - max_degree + 1: the most colors vc_coloring uses."""
+    delta = stats(g).max_degree
+    return cover.size + delta * delta - delta + 1
+
+
 def vc_coloring(g: Graph, cover: VertexCoverResult) -> Coloring:
     """Color via a vertex cover: cover vertices get distinct colors
     1..VC, the rest take the smallest harmonious color above VC.
 
-    The counting argument behind the VC + max_degree^2 - max_degree + 1
-    budget guarantees the scan below VC + D^2 - D + 1 never fails.
+    The neighbors of a vertex outside the cover are in it, so their colors
+    are distinct, and a counting argument keeps every color <= vc_budget.
     """
     if not is_vertex_cover(g, cover.cover):
         raise ValueError("given set is not a vertex cover of the graph")
-    vc = cover.size
-    delta = stats(g).max_degree
-    budget_top = vc + delta * delta - delta + 1
+    top = vc_budget(g, cover)
     colors = [0] * g.n
     for i, v in enumerate(sorted(cover.cover), start=1):
         colors[v] = i
-    used_pairs: set[tuple[int, int]] = set()
-    for u, v in g.edge_list():
+    partners = [0] * (g.n + 1)  # first-fit never needs a color above n
+    for u, v in g.edges:
         if colors[u] and colors[v]:
-            used_pairs.add(_pair(colors[u], colors[v]))
+            partners[colors[u]] |= 1 << colors[v]
+            partners[colors[v]] |= 1 << colors[u]
+    cover_colors = (1 << (cover.size + 1)) - 1
     for v in range(g.n):
         if colors[v]:
             continue
-        nbr_colors = [colors[u] for u in g.adj[v] if colors[u] > 0]
-        placed = False
-        for c in range(vc + 1, budget_top + 1):
-            new_pairs = {_pair(c, cu) for cu in nbr_colors}
-            if len(new_pairs) == len(nbr_colors) and not (new_pairs & used_pairs):
-                colors[v] = c
-                used_pairs |= new_pairs
-                placed = True
-                break
-        if not placed:
-            raise AssertionError(
-                f"no color for vertex {v} within VC + D^2 - D + 1 = {budget_top}"
-            )
+        colors[v] = _first_fit(partners, [colors[u] for u in g.adj[v]], cover_colors)
+        if colors[v] > top:
+            raise AssertionError(f"no color for vertex {v} within VC + D^2 - D + 1 = {top}")
     return Coloring(tuple(colors))

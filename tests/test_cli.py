@@ -139,6 +139,23 @@ def test_load_coloring_partial_rejected(tmp_path):
         load_coloring(str(f), 2)
 
 
+@pytest.mark.parametrize("line", ["0", "0 1 2", "0 red"])
+def test_check_rejects_a_malformed_coloring_line(tmp_path, capsys, line):
+    f = tmp_path / "c.coloring"
+    f.write_text(f"# comment\n\n{line}\n1 2\n2 3\n")
+    code, _, err = run(capsys, "check", "family:path:3", str(f))
+    assert code == EXIT_USAGE
+    assert f"expected a line 'v c', got {line!r}" in err
+
+
+def test_check_rejects_a_vertex_listed_twice(tmp_path, capsys):
+    f = tmp_path / "c.coloring"
+    f.write_text("0 1\n1 2\n2 3\n0 2\n")
+    code, _, err = run(capsys, "check", "family:path:3", str(f))
+    assert code == EXIT_USAGE
+    assert "vertex 0 is listed twice" in err
+
+
 def test_coloring_round_trip(tmp_path):
     c = Coloring((3, 1, 2))
     f = tmp_path / "c.coloring"
@@ -164,7 +181,7 @@ def test_vc_color_cli(capsys):
     assert code == EXIT_OK
     summary = json.loads(err)
     assert summary["method"] == "exact"
-    assert summary["colors_used"] <= summary["bound"]
+    assert summary["colors_used"] <= summary["bound"] == 3 + 2 * 2 - 2 + 1
     code, _, err = run(capsys, "vc-color", "family:cycle:30", "--approx")
     assert code == EXIT_OK
     assert json.loads(err)["method"] == "matching_2approx"

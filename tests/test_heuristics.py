@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from harmonium import (
@@ -13,8 +16,8 @@ from harmonium import (
     stats,
     vc_coloring,
 )
-from harmonium.families import complete, cycle, path, star
-from harmonium.heuristics import is_vertex_cover
+from harmonium.families import complete, cycle, generalized_petersen, path, star
+from harmonium.heuristics import _first_fit, is_vertex_cover
 
 
 def test_greedy_is_harmonious(rng):
@@ -32,6 +35,52 @@ def test_greedy_order_matters_on_adversarial_tree():
         bad = greedy(g, order)
         assert is_harmonious(g, bad).ok
         assert bad.k == (N - 1) ** 2 + 1
+
+
+def _pinned_corpus():
+    from conftest import random_graph
+
+    for g in (generalized_petersen(500, 3), generalized_petersen(50, 7),
+              random_graph(300, 0.02, random.Random(2021))):
+        yield g, list(range(g.n))
+    for N in range(3, 9):
+        yield adversarial_tree(N)
+
+
+def _digest(colorings):
+    h = hashlib.sha256()
+    for c in colorings:
+        h.update((" ".join(map(str, c.colors)) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_heuristic_colorings_are_pinned():
+    # recorded from the tuple-set greedy and vc_coloring that the partner
+    # bitmasks replaced: any change to a coloring changes a digest
+    by_order, by_shuffle, by_cover = [], [], []
+    for g, order in _pinned_corpus():
+        by_order.append(greedy(g, order))
+        shuffled = list(range(g.n))
+        random.Random(7).shuffle(shuffled)
+        by_shuffle.append(greedy(g, shuffled))
+        by_cover.append(vc_coloring(g, min_vertex_cover(g, "approx")))
+        if g.n <= 14:
+            by_cover.append(vc_coloring(g, min_vertex_cover(g, "exact")))
+    assert [c.k for c in by_order] == [376, 40, 91, 5, 10, 17, 26, 37, 50]
+    assert _digest(by_order) == "72a6a8dd3246050c3e738a528c5b895d3051911bb0203c632e5e05e9f4abc08c"
+    assert _digest(by_shuffle) == "af6764680c3fb214244c3eae970ebdc22f5ec459f91460306d92434cf3bfe36d"
+    assert _digest(by_cover) == "888ce9724beb0bd2f230d050a017ed768eff1c727305458216ff860e30570c64"
+
+
+def test_first_fit_takes_the_lowest_free_color_and_records_its_pairs():
+    partners = [0, 0b0100, 0b0010, 0, 0, 0]
+    assert _first_fit(partners, [1, 2], 0b1000) == 4
+    assert partners == [0, 0b10100, 0b10010, 0, 0b00110, 0]
+
+
+def test_first_fit_rejects_a_repeated_neighbor_color():
+    with pytest.raises(RuntimeError, match="neighbor color 2 repeats"):
+        _first_fit([0] * 5, [1, 2, 2], 0)
 
 
 def test_greedy_rejects_non_permutation():
