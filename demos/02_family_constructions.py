@@ -47,8 +47,9 @@ def main():
         c = lollipop_coloring(plan)
         g = fam.lollipop(n, m)
         assert is_harmonious(g, c)
-        print(f"  L({n},{m}): case {plan.case}, {lollipop_h(n, m)} colors, "
-              f"trail {plan.trail}")
+        assert plan.r == lollipop_h(n, m)
+        print(f"  L({n},{m}): r = {plan.r} colors, {len(plan.removed_edges)} edges "
+              f"removed, trail {plan.trail}")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 1 mismatch/infeasible/verification failure, 2 usage
 error, 3 budget exhausted. JSON is the machine interface; tables are for
-humans. Graphs are referenced by file path, `name:<catalog-entry>` or
-`family:<family>:<n>[:<m>]`.
+humans. Every command names its graph the same way: a file path (`-`
+for stdin), `name:<catalog-entry>` or `family:<family>:<n>[:<m>]`;
+`construct` takes only `family:` references.
 
 `solve --json` keys: h, witness, nodes_explored, elapsed (with --k: k,
 status, nodes_explored, elapsed and, if feasible, witness).
@@ -15,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import catalog, constructive, families, heuristics, reduction
 from .graph import Graph, _int_pair, _rows, emit_edge_list, parse_edge_list
@@ -37,18 +38,21 @@ _PALETTE = (
 )
 
 
+def _family_spec(spec: str) -> families.FamilySpec:
+    """Parse a `family:<family>:<n>[:<m>]` reference."""
+    parts = spec.split(":")
+    if parts[0] != "family" or not 3 <= len(parts) <= 4:
+        raise ValueError(f"expected family:<family>:<n>[:<m>], got {spec!r}")
+    m = int(parts[3]) if len(parts) == 4 else None
+    return families.FamilySpec(parts[1], int(parts[2]), m)
+
+
 def load_graph(spec: str) -> Graph:
     """Resolve a graph reference: path, `name:...` or `family:...`."""
     if spec.startswith("name:"):
         return catalog.named(spec[5:])
     if spec.startswith("family:"):
-        parts = spec.split(":")[1:]
-        if not 2 <= len(parts) <= 3:
-            raise ValueError(f"expected family:<family>:<n>[:<m>], got {spec!r}")
-        fam = parts[0]
-        n = int(parts[1])
-        m = int(parts[2]) if len(parts) == 3 else None
-        return families.generate(families.FamilySpec(fam, n, m))
+        return families.generate(_family_spec(spec))
     if spec == "-":
         return parse_edge_list(sys.stdin.read())
     with open(spec) as fh:
@@ -120,14 +124,10 @@ def cmd_gen(args) -> int:
             print(f"{name}: n={entry.n} m={len(entry.edges)} {reg} diameter={entry.diameter}")
         print("families:", ", ".join(families.FAMILIES))
         return EXIT_OK
-    if args.name:
-        g = catalog.named(args.name)
-    elif args.family:
-        g = families.generate(families.FamilySpec(args.family, args.n, args.m))
-    else:
-        print("gen: need --name, --family or --list", file=sys.stderr)
+    if args.graph is None:
+        print("gen: need a graph reference or --list", file=sys.stderr)
         return EXIT_USAGE
-    _write(args.output, emit_edge_list(g))
+    _write(args.output, emit_edge_list(load_graph(args.graph)))
     return EXIT_OK
 
 
@@ -230,23 +230,22 @@ def cmd_vc_color(args) -> int:
     return EXIT_OK
 
 
+# the closed-form coloring of each family that has one, by family name
+_CONSTRUCTIONS = {
+    "sunflower": lambda s: constructive.color_sunflower(s.n),
+    "sun": lambda s: constructive.color_sun(s.n),
+    "closed_sun": lambda s: constructive.color_closed_sun(s.n),
+    "lollipop": lambda s: constructive.lollipop_coloring(constructive.lollipop_plan(s.n, s.m)),
+}
+
+
 def cmd_construct(args) -> int:
-    fam = args.family
-    n, m = args.n, args.m
-    if fam == "sunflower":
-        g, c = families.sunflower(n), constructive.color_sunflower(n)
-    elif fam == "sun":
-        g, c = families.sun(n), constructive.color_sun(n)
-    elif fam == "closed-sun":
-        g, c = families.closed_sun(n), constructive.color_closed_sun(n)
-    elif fam == "lollipop":
-        if m is None:
-            print("construct: lollipop needs --m", file=sys.stderr)
-            return EXIT_USAGE
-        plan = constructive.lollipop_plan(n, m)
-        g, c = families.lollipop(n, m), constructive.lollipop_coloring(plan)
-    else:
-        return EXIT_USAGE
+    spec = _family_spec(args.graph)
+    if spec.family not in _CONSTRUCTIONS:
+        raise ValueError(f"no closed form for family {spec.family!r}; "
+                         f"known: {', '.join(_CONSTRUCTIONS)}")
+    g = families.generate(spec)
+    c = _CONSTRUCTIONS[spec.family](spec)
     verdict = is_harmonious(g, c)
     if not verdict.ok:
         print(f"construction failed verification: {verdict}", file=sys.stderr)
@@ -378,10 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a catalog or family graph as an edge list")
-    p.add_argument("--name", help="catalog graph name")
-    p.add_argument("--family", choices=families.FAMILIES)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
+    p.add_argument("graph", nargs="?")
     p.add_argument("--list", action="store_true", help="list catalog and families")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_gen)
@@ -417,10 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_vc_color)
 
     p = sub.add_parser("construct", help="closed-form family colorings")
-    p.add_argument("--family", required=True,
-                   choices=("sunflower", "sun", "closed-sun", "lollipop"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
+    p.add_argument("graph", help="family:<family>:<n>[:<m>]")
     p.add_argument("--out-prefix")
     p.set_defaults(fn=cmd_construct)
 

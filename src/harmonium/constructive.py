@@ -3,10 +3,12 @@ families: sunflower, sun, closed sun and lollipop.
 
 The lollipop value reduces to a trail-existence question: an
 r-harmonious coloring of L_{n,m} is exactly a trail with m vertices in
-K_r minus the edges among colors 1..n, starting at color 1. The four
-parity cases decide which edges must be deleted so the residual graph
-carries an Eulerian (closed or open) trail, and the plan realizes one
-with Hierholzer's algorithm truncated to m vertices.
+K_r minus the edges among colors 1..n, starting at color 1. One table
+of the four parity cases, `_removals`, gives the edges that must be
+deleted so the residual graph carries an Eulerian (closed or open)
+trail. h is read from that table, as the number of path vertices such
+a trail can hold, and the plan walks the same table with Hierholzer's
+algorithm, truncated to m vertices.
 """
 
 from __future__ import annotations
@@ -89,69 +91,47 @@ def _min_t(n: int, m: int) -> int:
     return t
 
 
-def _case_and_capacity(n: int, m: int, t: int) -> tuple[str, int]:
-    """Parity case name and the largest m admitting h = n + t."""
-    k = n * t + t * (t - 1) // 2
-    if t % 2 == 0 and n % 2 == 1:
-        return "even_odd", m  # always attainable
-    if t % 2 == 0 and n % 2 == 0:
-        return "even_even", 1 + k - t // 2
-    if t % 2 == 1 and n % 2 == 0:
-        return "odd_even", 1 + k - (n - 2)
-    if t >= n - 2:
-        return "odd_odd_big_t", 1 + k - (n - 2 + max((t - (n - 2)) // 2, 0))
-    return "odd_odd_small_t", 1 + k - (n - 2)
+def _removals(n: int, t: int, extra: bool) -> set[tuple[int, int]]:
+    """Edges deleted from K_r - E(<[n]>), r = n + t (+1 if extra), so an
+    Eulerian trail from vertex 1 exists; it has 1 + k - len(removed)
+    vertices, k = nt + t(t-1)/2 (vertex labels 1-based as in K_r)."""
+    if t % 2 == 0:
+        if n % 2 == 1:  # even_odd: already Eulerian
+            return set()
+        if not extra:  # even_even
+            return {(n + j, n + j + 1) for j in range(1, t, 2)}
+        return {(i, n + t + 1) for i in range(1, n + 1)}
+    if n % 2 == 0:  # odd_even
+        if not extra:
+            return {(i, n + 1) for i in range(3, n + 1)}
+        return {(n + j, n + j + 1) for j in range(1, t + 1, 2)}
+    if extra:  # odd_odd: K_{n+t+1} - E(<[n]>) is already Eulerian
+        return set()
+    if t >= n - 2:  # odd_odd_big_t
+        return ({(i, n + i - 2) for i in range(3, n + 1)}
+                | {(n + j, n + j + 1) for j in range(n - 1, t, 2)})
+    # odd_odd_small_t
+    return ({(i, n + i - 2) for i in range(3, t + 2)}
+            | {(i, n + t) for i in range(t + 2, n + 1)})
 
 
 def lollipop_h(n: int, m: int) -> int:
-    """Exact h(L_{n,m}) by the four-parity-case formula."""
+    """Exact h(L_{n,m}): n + t colors unless the m - 1 path edges
+    overflow the trail that _removals leaves, then one more."""
     if n < 3 or m < 2:
         raise ValueError(f"lollipop needs n >= 3, m >= 2, got ({n}, {m})")
     t = _min_t(n, m)
-    _, capacity = _case_and_capacity(n, m, t)
-    return n + t if m <= capacity else n + t + 1
+    k = n * t + t * (t - 1) // 2
+    return n + t + (m - 1 > k - len(_removals(n, t, False)))
 
 
 @dataclass(frozen=True)
 class LollipopPlan:
     n: int
     m: int
-    t: int
-    k: int
-    case: str
-    extra_color: bool  # h = n + t + 1
-    r: int  # total colors, n + t (+1)
+    r: int  # total colors, h(L_{n,m})
     removed_edges: frozenset[tuple[int, int]]  # deleted from K_r - E(<[n]>)
     trail: tuple[int, ...]  # m vertices of K_r, starts at 1
-
-
-def _residual_removals(n: int, t: int, case: str, extra: bool) -> set[tuple[int, int]]:
-    """Edges deleted from K_r - E(<[n]>) so an Eulerian trail from
-    vertex 1 exists (vertex labels 1-based as in the clique K_r)."""
-    def pair(a, b):
-        return (min(a, b), max(a, b))
-
-    removed: set[tuple[int, int]] = set()
-    if not extra:
-        if case == "even_odd":
-            pass  # already Eulerian
-        elif case == "even_even":
-            removed = {pair(n + j, n + j + 1) for j in range(1, t, 2)}
-        elif case == "odd_even":
-            removed = {pair(i, n + 1) for i in range(3, n + 1)}
-        elif case == "odd_odd_big_t":
-            removed = {pair(i, n + i - 2) for i in range(3, n + 1)}
-            removed |= {pair(n + j, n + j + 1) for j in range(n - 1, t, 2)}
-        elif case == "odd_odd_small_t":
-            removed = {pair(i, n + i - 2) for i in range(3, t + 2)}
-            removed |= {pair(i, n + t) for i in range(t + 2, n + 1)}
-    else:
-        if case == "even_even":
-            removed = {pair(i, n + t + 1) for i in range(1, n + 1)}
-        elif case == "odd_even":
-            removed = {pair(n + j, n + j + 1) for j in range(1, t + 1, 2)}
-        # odd_odd cases: K_{n+t+1} - E(<[n]>) is already Eulerian
-    return removed
 
 
 def _eulerian_trail(r: int, n: int, removed: set[tuple[int, int]], start: int) -> list[int]:
@@ -187,21 +167,14 @@ def _eulerian_trail(r: int, n: int, removed: set[tuple[int, int]], start: int) -
 
 def lollipop_plan(n: int, m: int) -> LollipopPlan:
     """Build the residual graph for (n, m), walk it, and record the plan."""
-    if n < 3 or m < 2:
-        raise ValueError(f"lollipop needs n >= 3, m >= 2, got ({n}, {m})")
+    r = lollipop_h(n, m)
     t = _min_t(n, m)
-    k = n * t + t * (t - 1) // 2
-    case, capacity = _case_and_capacity(n, m, t)
-    extra = m > capacity
-    r = n + t + 1 if extra else n + t
-    removed = _residual_removals(n, t, case, extra)
+    removed = _removals(n, t, r > n + t)
     trail = _eulerian_trail(r, n, removed, start=1)
     if len(trail) < m:
         raise AssertionError(f"residual trail too short: {len(trail)} < {m}")
-    trail = trail[:m]
     return LollipopPlan(
-        n=n, m=m, t=t, k=k, case=case, extra_color=extra, r=r,
-        removed_edges=frozenset(removed), trail=tuple(trail),
+        n=n, m=m, r=r, removed_edges=frozenset(removed), trail=tuple(trail[:m]),
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: Marker reported as the diameter of a disconnected graph.
 DISCONNECTED = -1

@@ -152,7 +152,8 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
     """Decide whether g has a harmonious k-coloring.
 
     Returns a witness, an exhaustive INFEASIBLE, or BUDGET_EXHAUSTED.
-    Only the empty graph may ask for k = 0.
+    Only the empty graph may ask for k = 0. A witness that fails
+    verification raises RuntimeError.
     """
     if k < min(g.n, 1):
         raise ValueError(f"color budget must be >= 1, got {k}")
@@ -164,7 +165,12 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
     if g.m > k * (k - 1) // 2:
         return SearchOutcome(INFEASIBLE, None, 1)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
-    return _search(g, k, cfg.node_budget, deadline)
+    out = _search(g, k, cfg.node_budget, deadline)
+    if out.feasible:
+        verdict = is_harmonious(g, out.witness)
+        if not verdict.ok:
+            raise RuntimeError(f"solver produced an invalid witness at k={k}: {verdict}")
+    return out
 
 
 def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
@@ -173,8 +179,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     Iterates exists_k upward from the combined lower bound; h is the
     first k with a witness. The node and time budgets bound the whole
     solve: each k gets what the earlier ones left. Budget exhaustion
-    raises BudgetExceeded naming the k it stopped at; a witness that
-    fails verification raises RuntimeError.
+    raises BudgetExceeded naming the k it stopped at.
     """
     cfg = cfg or SolverConfig()
     t0 = time.monotonic()
@@ -192,13 +197,9 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
             )
         total_nodes += out.nodes_explored
         if out.feasible:
-            witness = out.witness
-            verdict = is_harmonious(g, witness)
-            if not verdict.ok:
-                raise RuntimeError(f"solver produced an invalid witness at k={k}: {verdict}")
             return SolveResult(
                 h=k,
-                witness=witness,
+                witness=out.witness,
                 nodes_explored=total_nodes,
                 elapsed=time.monotonic() - t0,
             )

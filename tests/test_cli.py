@@ -31,7 +31,7 @@ def test_gen_list(capsys):
 
 def test_gen_family_to_file(tmp_path, capsys):
     target = tmp_path / "c5.edges"
-    code, _, _ = run(capsys, "gen", "--family", "cycle", "--n", "5", "-o", str(target))
+    code, _, _ = run(capsys, "gen", "family:cycle:5", "-o", str(target))
     assert code == EXIT_OK
     assert load_graph(str(target)) == cycle(5)
 
@@ -90,6 +90,8 @@ def test_solve_parallel_flag_removed(capsys):
     ("reproduce", "--scope", "all"),
     ("reproduce", "--time-budget", "5"),
     ("vc-color", "family:cycle:6", "--exact"),
+    ("gen", "--family", "cycle", "--n", "5"),
+    ("construct", "--family", "sun", "--n", "5"),
 ])
 def test_removed_options_are_usage_errors(capsys, argv):
     code, _, _ = run(capsys, *argv)
@@ -188,13 +190,15 @@ def test_vc_color_cli(capsys):
 
 
 def test_construct_cli(tmp_path, capsys):
-    code, out, _ = run(capsys, "construct", "--family", "sunflower", "--n", "8")
+    code, out, _ = run(capsys, "construct", "family:sunflower:8")
     assert code == EXIT_OK
     assert json.loads(out)["colors_used"] == 9
+    code, out, _ = run(capsys, "construct", "family:closed_sun:7")
+    assert code == EXIT_OK
+    assert json.loads(out)["colors_used"] == 7 + 5
     prefix = tmp_path / "lp"
     code, out, _ = run(
-        capsys, "construct", "--family", "lollipop", "--n", "6", "--m", "4",
-        "--out-prefix", str(prefix),
+        capsys, "construct", "family:lollipop:6:4", "--out-prefix", str(prefix),
     )
     assert code == EXIT_OK
     assert json.loads(out)["colors_used"] == 8
@@ -204,8 +208,9 @@ def test_construct_cli(tmp_path, capsys):
 
 
 def test_construct_lollipop_needs_m(capsys):
-    code, _, _ = run(capsys, "construct", "--family", "lollipop", "--n", "6")
+    code, _, err = run(capsys, "construct", "family:lollipop:6")
     assert code == EXIT_USAGE
+    assert "needs a second parameter" in err
 
 
 def test_reduce_cli(tmp_path, capsys):
@@ -296,8 +301,11 @@ def test_export_dot(tmp_path, capsys):
 
 
 def test_usage_errors(capsys):
-    code, _, _ = run(capsys, "gen", "--name", "nope")
+    code, _, _ = run(capsys, "gen", "name:nope")
     assert code == EXIT_USAGE
+    for ref in ("name:petersen", "family:wheel:5"):  # construct needs a closed form
+        code, _, _ = run(capsys, "construct", ref)
+        assert code == EXIT_USAGE
     code, _, _ = run(capsys, "solve", "/no/such/file")
     assert code == EXIT_USAGE
     code, _, _ = run(capsys, "bogus-subcommand")

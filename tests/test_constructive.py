@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from harmonium import (
@@ -155,6 +157,19 @@ def test_lollipop_trail_edges_are_legal():
             assert e not in plan.removed_edges
             assert e not in seen  # a trail never repeats an edge
             seen.add(e)
+
+
+def test_lollipop_plans_are_pinned():
+    # sha256 recorded before the two parity tables were folded into one
+    digest = hashlib.sha256()
+    for n in range(3, 16):
+        for m in range(2, 121):
+            p = lollipop_plan(n, m)
+            row = (n, m, lollipop_h(n, m), p.r, p.trail, sorted(p.removed_edges))
+            digest.update(repr(row).encode())
+    assert digest.hexdigest() == (
+        "55318bc0aa0d4c7080e0282cc8e93d3adce7d1757f66fdaf0304c3ad5b7b196f"
+    )
 
 
 def test_lollipop_larger_spot_checks():

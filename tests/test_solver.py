@@ -203,7 +203,7 @@ def test_too_many_edges_rejected_without_search():
 
 
 def test_invalid_witness_raises_under_optimize():
-    """The witness check in solve must survive `python -O`."""
+    """The witness check in exists_k must survive `python -O`."""
     import os
     import subprocess
     import sys
@@ -216,7 +216,7 @@ from harmonium.families import cycle
 from harmonium.verify import Coloring
 
 assert False, "-O is not in effect"
-s.exists_k = lambda g, k, cfg=None: s.SearchOutcome("witness", Coloring((1,) * g.n), 0)
+s._search = lambda g, k, budget, deadline: s.SearchOutcome("witness", Coloring((1,) * g.n), 0)
 try:
     s.solve(cycle(4))
 except RuntimeError as exc:
@@ -228,6 +228,18 @@ except RuntimeError as exc:
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: solver produced an invalid witness")
+
+
+def test_exists_k_checks_the_witness(monkeypatch):
+    import harmonium.solver as s
+    from harmonium.verify import Coloring
+
+    def bad_search(g, k, budget, deadline):
+        return s.SearchOutcome("witness", Coloring((1,) * g.n), 0)
+
+    monkeypatch.setattr(s, "_search", bad_search)
+    with pytest.raises(RuntimeError, match="invalid witness at k=5"):
+        exists_k(cycle(5), 5)
 
 
 def test_edgeless_graph():
