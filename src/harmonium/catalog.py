@@ -1,4 +1,8 @@
-"""Catalog of named graphs with embedded edge lists.
+"""Catalog of named graphs: each entry is only an edge list.
+
+Every entry is connected with no isolated vertex, so `named` reads n off
+the largest vertex id; `harmonium gen` computes n, m, regularity and
+diameter from the graph itself.
 
 The planar33_* entries are 3-regular planar diameter-3 graphs on 8, 10
 and 12 vertices (3, 6 and 2 isomorphism classes respectively). They were
@@ -6,75 +10,15 @@ found by random sampling of cubic graphs followed by planarity/diameter
 filtering and isomorphism dedup, stopping once the known class counts
 were reached. Nothing in this repository yet certifies that these are all
 such graphs: that needs an exhaustive enumerator. Tests re-verify
-degree sequence and diameter for every entry.
+their degree sequence and diameter.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .graph import Graph, from_edge_list
 
 Edges = list[tuple[int, int]]
 
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    regular: int | None  # common degree when regular, else None
-    diameter: int
-
-
-_PETERSEN: Edges = (
-    [(i, (i + 1) % 5) for i in range(5)]
-    + [(i, i + 5) for i in range(5)]
-    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-)
-
-_WAGNER: Edges = [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]
-
-# K_2,2,2: every pair except the three antipodal ones
-_OCTAHEDRON: Edges = [
-    (u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) not in {(0, 1), (2, 3), (4, 5)}
-]
-
-# two rhombi sharing vertex 0, tips 3 and 6 joined
-_MOSER_SPINDLE: Edges = [
-    (0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
-    (0, 4), (0, 5), (4, 5), (4, 6), (5, 6),
-    (3, 6),
-]
-
-_HOUSE: Edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]
-
-_PRISM_Y3: Edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
-
-# LCF [5,-5]^6
-_FRANKLIN: Edges = [
-    (0, 1), (0, 5), (0, 11), (1, 2), (1, 8), (2, 3), (2, 7), (3, 4), (3, 10),
-    (4, 5), (4, 9), (5, 6), (6, 7), (6, 11), (7, 8), (8, 9), (9, 10), (10, 11),
-]
-
-# Petersen with one vertex expanded to a triangle
-_TIETZE: Edges = [
-    (0, 1), (0, 5), (0, 9), (1, 2), (1, 6), (2, 3), (2, 7), (3, 8), (3, 10),
-    (4, 6), (4, 7), (4, 11), (5, 7), (5, 8), (6, 8), (9, 10), (9, 11), (10, 11),
-]
-
-# LCF [-6,4,-4]^4
-_BIDIAKIS: Edges = [
-    (0, 1), (0, 6), (0, 11), (1, 2), (1, 5), (2, 3), (2, 10), (3, 4), (3, 9),
-    (4, 5), (4, 8), (5, 6), (6, 7), (7, 8), (7, 11), (8, 9), (9, 10), (10, 11),
-]
-
-# 12-vertex cubic nonplanar diameter-3 graph of girth 5 (the girth-5
-# companion of the Tietze graph), partitionable into two induced trees
-_YUTSIS: Edges = [
-    (0, 5), (0, 7), (0, 11), (1, 4), (1, 5), (1, 9), (2, 4), (2, 6), (2, 7),
-    (3, 5), (3, 6), (3, 8), (4, 8), (6, 10), (7, 9), (8, 11), (9, 10), (10, 11),
-]
 
 _TRUNCATED_TETRAHEDRON: Edges = [
     (0, 1), (0, 2), (0, 9), (1, 2), (1, 6), (2, 3), (3, 4), (3, 11), (4, 5),
@@ -113,36 +57,58 @@ _PLANAR33_12: list[Edges] = [
 ]
 
 
-CATALOG: dict[str, CatalogEntry] = {}
-
-
-def _register(name, n, edges, regular, diameter):
-    CATALOG[name] = CatalogEntry(name, n, tuple(edges), regular, diameter)
-
-
-_register("petersen", 10, _PETERSEN, 3, 2)
-_register("wagner", 8, _WAGNER, 3, 2)
-_register("octahedron", 6, _OCTAHEDRON, 4, 2)
-_register("moser_spindle", 7, _MOSER_SPINDLE, None, 2)
-_register("house", 5, _HOUSE, None, 2)
-_register("prism_y3", 6, _PRISM_Y3, 3, 2)
-_register("franklin", 12, _FRANKLIN, 3, 3)
-_register("tietze", 12, _TIETZE, 3, 3)
-_register("bidiakis", 12, _BIDIAKIS, 3, 3)
-_register("yutsis", 12, _YUTSIS, 3, 3)
-_register("truncated_tetrahedron", 12, _TRUNCATED_TETRAHEDRON, 3, 3)
-for _i, _edges in enumerate(_PLANAR33_8, start=1):
-    _register(f"planar33_8_{_i}", 8, _edges, 3, 3)
-for _i, _edges in enumerate(_PLANAR33_10, start=1):
-    _register(f"planar33_10_{_i}", 10, _edges, 3, 3)
-for _i, _edges in enumerate(_PLANAR33_12, start=1):
-    _register(f"planar33_12_{_i}", 12, _edges, 3, 3)
+CATALOG: dict[str, Edges] = {
+    "petersen": (
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    ),
+    "wagner": [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)],
+    # K_2,2,2: every pair except the three antipodal ones
+    "octahedron": [
+        (u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) not in {(0, 1), (2, 3), (4, 5)}
+    ],
+    # two rhombi sharing vertex 0, tips 3 and 6 joined
+    "moser_spindle": [
+        (0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
+        (0, 4), (0, 5), (4, 5), (4, 6), (5, 6),
+        (3, 6),
+    ],
+    "house": [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)],
+    "prism_y3": [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)],
+    # LCF [5,-5]^6
+    "franklin": [
+        (0, 1), (0, 5), (0, 11), (1, 2), (1, 8), (2, 3), (2, 7), (3, 4), (3, 10),
+        (4, 5), (4, 9), (5, 6), (6, 7), (6, 11), (7, 8), (8, 9), (9, 10), (10, 11),
+    ],
+    # Petersen with one vertex expanded to a triangle
+    "tietze": [
+        (0, 1), (0, 5), (0, 9), (1, 2), (1, 6), (2, 3), (2, 7), (3, 8), (3, 10),
+        (4, 6), (4, 7), (4, 11), (5, 7), (5, 8), (6, 8), (9, 10), (9, 11), (10, 11),
+    ],
+    # LCF [-6,4,-4]^4
+    "bidiakis": [
+        (0, 1), (0, 6), (0, 11), (1, 2), (1, 5), (2, 3), (2, 10), (3, 4), (3, 9),
+        (4, 5), (4, 8), (5, 6), (6, 7), (7, 8), (7, 11), (8, 9), (9, 10), (10, 11),
+    ],
+    # 12-vertex cubic nonplanar diameter-3 graph of girth 5 (the girth-5
+    # companion of the Tietze graph), partitionable into two induced trees
+    "yutsis": [
+        (0, 5), (0, 7), (0, 11), (1, 4), (1, 5), (1, 9), (2, 4), (2, 6), (2, 7),
+        (3, 5), (3, 6), (3, 8), (4, 8), (6, 10), (7, 9), (8, 11), (9, 10), (10, 11),
+    ],
+    "truncated_tetrahedron": _TRUNCATED_TETRAHEDRON,
+}
+for _size, _classes in [(8, _PLANAR33_8), (10, _PLANAR33_10), (12, _PLANAR33_12)]:
+    for _i, _edges in enumerate(_classes, start=1):
+        CATALOG[f"planar33_{_size}_{_i}"] = _edges
 
 
 def named(name: str) -> Graph:
-    """Look up a catalog graph by name."""
+    """Look up a catalog graph by name; every entry is connected, so its
+    vertex count is one more than its largest vertex id."""
     try:
-        entry = CATALOG[name]
+        edges = CATALOG[name]
     except KeyError:
         raise KeyError(f"unknown catalog graph {name!r}; known: {', '.join(CATALOG)}") from None
-    return from_edge_list(entry.n, entry.edges)
+    return from_edge_list(1 + max(map(max, edges)), edges)

@@ -4,10 +4,13 @@ Exit codes: 0 ok, 1 mismatch/infeasible/verification failure, 2 usage
 error, 3 budget exhausted. JSON is the machine interface; tables are for
 humans. Every command names its graph the same way: a file path (`-`
 for stdin), `name:<catalog-entry>` or `family:<family>:<n>[:<m>]`;
-`construct` takes only `family:` references.
+`construct` takes only `family:` references. Every command that makes an
+artifact (`gen`, `greedy`, `vc-color`, `construct`, `reduce`, `export`)
+writes it to `-o` or stdout and its JSON summary, if any, to stderr.
 
-`solve --json` keys: h, witness, nodes_explored, elapsed (with --k: k,
-status, nodes_explored, elapsed and, if feasible, witness).
+`solve` keys: h, witness, nodes_explored, elapsed (with --k: k, status,
+nodes_explored, elapsed and, if feasible, witness); `--json` prints them
+as one object, the text mode as `key=value` lines.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import catalog, constructive, families, heuristics, reduction
-from .graph import Graph, _int_pair, _rows, emit_edge_list, parse_edge_list
+from .graph import Graph, _int_pair, _rows, diameter, emit_edge_list, parse_edge_list, stats
 from .solver import BUDGET_EXHAUSTED, BudgetExceeded, SolverConfig, exists_k, solve
 from .verify import Coloring, is_harmonious, lower_bounds
 
@@ -100,34 +103,32 @@ def export_dot(g: Graph, c: Coloring | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class RunRecord:
-    graph_id: str
-    expected: int | str
-    computed: int | str
-    elapsed: float
-    ok: bool
-
-
-def _write(path: str | None, text: str) -> None:
+def _emit(path: str | None, text: str, summary: dict | None = None) -> None:
+    """Write an artifact to path (stdout without one), then its JSON
+    summary, if any, to stderr."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if summary is not None:
+        print(json.dumps(summary), file=sys.stderr)
+
+
+def _catalog_line(name: str) -> str:
+    g = catalog.named(name)
+    degrees = stats(g).degree_sequence
+    reg = f"{degrees[0]}-regular" if min(degrees) == max(degrees) else "irregular"
+    return f"{name}: n={g.n} m={g.m} {reg} diameter={diameter(g)}\n"
 
 
 def cmd_gen(args) -> int:
-    if args.list:
-        for name, entry in catalog.CATALOG.items():
-            reg = f"{entry.regular}-regular" if entry.regular else "irregular"
-            print(f"{name}: n={entry.n} m={len(entry.edges)} {reg} diameter={entry.diameter}")
-        print("families:", ", ".join(families.FAMILIES))
-        return EXIT_OK
-    if args.graph is None:
-        print("gen: need a graph reference or --list", file=sys.stderr)
-        return EXIT_USAGE
-    _write(args.output, emit_edge_list(load_graph(args.graph)))
+    if args.graph is None:  # nothing to generate: list what can be
+        text = "".join(map(_catalog_line, catalog.CATALOG))
+        text += f"families: {', '.join(families.FAMILIES)}\n"
+    else:
+        text = emit_edge_list(load_graph(args.graph))
+    _emit(args.output, text)
     return EXIT_OK
 
 
@@ -135,40 +136,29 @@ def cmd_solve(args) -> int:
     g = load_graph(args.graph)
     cfg = SolverConfig(node_budget=args.budget_nodes, time_budget=args.budget_secs)
     t0 = time.monotonic()
-    if args.k is not None:
+    if args.k is None:
+        try:
+            res = solve(g, cfg)
+        except BudgetExceeded as exc:  # carries the bracketing info
+            print(f"solve: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        payload = {"h": res.h, "witness": list(res.witness.colors),
+                   "nodes_explored": res.nodes_explored, "elapsed": res.elapsed}
+        code = EXIT_OK
+    else:
         out = exists_k(g, args.k, cfg)
-        payload = {
-            "k": args.k,
-            "status": out.status,
-            "nodes_explored": out.nodes_explored,
-            "elapsed": time.monotonic() - t0,
-        }
+        payload = {"k": args.k, "status": out.status, "nodes_explored": out.nodes_explored,
+                   "elapsed": time.monotonic() - t0}
         if out.feasible:
             payload["witness"] = list(out.witness.colors)
-        if args.json:
-            print(json.dumps(payload))
-        else:
-            print(f"k={args.k}: {out.status} (nodes={out.nodes_explored})")
-        if out.status == BUDGET_EXHAUSTED:
-            return EXIT_BUDGET
-        return EXIT_OK if out.feasible else EXIT_MISMATCH
-    try:
-        res = solve(g, cfg)
-    except BudgetExceeded as exc:  # carries the bracketing info
-        print(f"solve: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    payload = {
-        "h": res.h,
-        "witness": list(res.witness.colors),
-        "nodes_explored": res.nodes_explored,
-        "elapsed": res.elapsed,
-    }
+        code = (EXIT_BUDGET if out.status == BUDGET_EXHAUSTED
+                else EXIT_OK if out.feasible else EXIT_MISMATCH)
     if args.json:
         print(json.dumps(payload))
     else:
-        print(f"h = {res.h} (nodes={res.nodes_explored}, {res.elapsed:.2f}s)")
-        print("witness:", " ".join(map(str, res.witness.colors)))
-    return EXIT_OK
+        for key, value in payload.items():
+            print(f"{key}={value}")
+    return code
 
 
 def cmd_bound(args) -> int:
@@ -205,28 +195,22 @@ def cmd_greedy(args) -> int:
         with open(args.order) as fh:
             order = [int(tok) for tok in fh.read().split()]
     c = heuristics.greedy(g, order)
-    _write(args.output, emit_coloring(c))
-    print(json.dumps({"colors_used": c.k, "order": order}), file=sys.stderr)
+    _emit(args.output, emit_coloring(c), {"colors_used": c.k, "order": order})
     return EXIT_OK
 
 
 def cmd_vc_color(args) -> int:
     g = load_graph(args.graph)
-    mode = "approx" if args.approx else "exact"
+    # the exact cover is an exponential search, guarded to small n
+    mode = "exact" if g.n <= heuristics.EXACT_SEARCH_MAX_N else "approx"
     cover = heuristics.min_vertex_cover(g, mode)
     c = heuristics.vc_coloring(g, cover)
-    _write(args.output, emit_coloring(c))
-    print(
-        json.dumps(
-            {
-                "cover_size": cover.size,
-                "method": cover.method,
-                "colors_used": c.k,
-                "bound": heuristics.vc_budget(g, cover),
-            }
-        ),
-        file=sys.stderr,
-    )
+    _emit(args.output, emit_coloring(c), {
+        "cover_size": cover.size,
+        "method": cover.method,
+        "colors_used": c.k,
+        "bound": heuristics.vc_budget(g, cover),
+    })
     return EXIT_OK
 
 
@@ -250,15 +234,7 @@ def cmd_construct(args) -> int:
     if not verdict.ok:
         print(f"construction failed verification: {verdict}", file=sys.stderr)
         return EXIT_MISMATCH
-    prefix = args.out_prefix
-    if prefix:
-        _write(f"{prefix}.edges", emit_edge_list(g))
-        _write(f"{prefix}.coloring", emit_coloring(c))
-        _write(f"{prefix}.dot", export_dot(g, c))
-        print(json.dumps({"colors_used": c.k, "artifacts": [
-            f"{prefix}.edges", f"{prefix}.coloring", f"{prefix}.dot"]}))
-    else:
-        print(json.dumps({"colors_used": c.k, "coloring": list(c.colors)}))
+    _emit(args.output, emit_coloring(c), {"colors_used": c.k})
     return EXIT_OK
 
 
@@ -271,18 +247,17 @@ def cmd_reduce(args) -> int:
 
         c, s = (Fraction(x) for x in args.gap)
         payload["gap_ratio"] = float(reduction.gap_ratio(c, s))
-    _write(args.output, emit_edge_list(inst.gadget))
-    if args.verify:
+    code = EXIT_OK
+    if args.verify:  # before writing, so a refused check leaves no file behind
         report = reduction.verify_equivalence(g, args.k)
         payload.update(
             is_exists=report.is_exists,
             colorable_at_threshold=report.colorable_at_threshold,
             equivalent=report.equivalent,
         )
-        print(json.dumps(payload), file=sys.stderr)
-        return EXIT_OK if report.equivalent else EXIT_MISMATCH
-    print(json.dumps(payload), file=sys.stderr)
-    return EXIT_OK
+        code = EXIT_OK if report.equivalent else EXIT_MISMATCH
+    _emit(args.output, emit_edge_list(inst.gadget), payload)
+    return code
 
 
 def _checked_colors(g: Graph, c: Coloring) -> int:
@@ -340,7 +315,7 @@ def _reproduce_rows():
 
 
 def cmd_reproduce(args) -> int:
-    rows: list[RunRecord] = []
+    rows: list[dict] = []
     marks: list[str] = []
     for graph_id, expected, run in _reproduce_rows():
         t0 = time.monotonic()
@@ -350,25 +325,25 @@ def cmd_reproduce(args) -> int:
         except Exception as exc:  # the row failed; the others still run
             computed = f"SKIPPED ({type(exc).__name__})"
             mark = "BUDGET" if isinstance(exc, BudgetExceeded) else "ERROR"
-        elapsed = time.monotonic() - t0
-        rows.append(RunRecord(graph_id, expected, computed, elapsed, computed == expected))
+        rows.append({"graph_id": graph_id, "expected": expected, "computed": computed,
+                     "elapsed": time.monotonic() - t0, "ok": computed == expected})
         marks.append(mark)
     if args.json:
-        print(json.dumps([asdict(r) for r in rows]))
+        print(json.dumps(rows))
     else:
-        width = max(len(r.graph_id) for r in rows)
+        width = max(len(r["graph_id"]) for r in rows)
         for r, mark in zip(rows, marks):
-            print(f"{r.graph_id:<{width}}  expected={r.expected!s:>3}  "
-                  f"computed={r.computed!s:>3}  {r.elapsed:6.2f}s  {mark}")
+            print(f"{r['graph_id']:<{width}}  expected={r['expected']!s:>3}  "
+                  f"computed={r['computed']!s:>3}  {r['elapsed']:6.2f}s  {mark}")
     if "BUDGET" in marks:
         return EXIT_BUDGET
-    return EXIT_OK if all(r.ok for r in rows) else EXIT_MISMATCH
+    return EXIT_OK if all(r["ok"] for r in rows) else EXIT_MISMATCH
 
 
 def cmd_export(args) -> int:
     g = load_graph(args.graph)
     c = load_coloring(args.coloring, g.n) if args.coloring else None
-    _write(args.output, export_dot(g, c))
+    _emit(args.output, export_dot(g, c))
     return EXIT_OK
 
 
@@ -376,9 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="harmonium")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="emit a catalog or family graph as an edge list")
-    p.add_argument("graph", nargs="?")
-    p.add_argument("--list", action="store_true", help="list catalog and families")
+    p = sub.add_parser("gen", help="emit a graph as an edge list, or list the catalog")
+    p.add_argument("graph", nargs="?", help="without one, list the catalog and families")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_gen)
 
@@ -406,15 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_greedy)
 
-    p = sub.add_parser("vc-color", help="vertex-cover-based coloring")
+    p = sub.add_parser("vc-color", help="vertex-cover-based coloring (exact cover up "
+                       f"to n = {heuristics.EXACT_SEARCH_MAX_N}, else 2-approximate)")
     p.add_argument("graph")
-    p.add_argument("--approx", action="store_true", help="2-approximate vertex cover")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_vc_color)
 
     p = sub.add_parser("construct", help="closed-form family colorings")
     p.add_argument("graph", help="family:<family>:<n>[:<m>]")
-    p.add_argument("--out-prefix")
+    p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("reduce", help="build the independent-set gadget")

@@ -78,17 +78,16 @@ def adversarial_good_coloring(N: int) -> Coloring:
 
     Root gets 1, the a-layer vertices 2..N-1 get colors 2..N-1, the
     b-layer gets N+1..2N-2, and each leaf block reuses {1..N} minus its
-    grandparent's color. Vertex a_1 (id 1) has no forced color; it takes
-    the first color in 1..2N-2 that keeps the coloring harmonious.
+    grandparent's color.
     """
-    from .families import adversarial_tree
-    from .verify import is_harmonious
-
     if N < 3:
         raise ValueError(f"needs N >= 3, got {N}")
-    g, _ = adversarial_tree(N)
-    colors = [0] * g.n
+    colors = [0] * (N * (N - 1))  # adversarial_tree(N)'s vertex ids
     colors[0] = 1
+    # a_1 (id 1) is a leaf under the root: the root already pairs color 1
+    # with 2..N-1, and no other edge carries {1, N}, so N is its first
+    # harmonious color
+    colors[1] = N
     for i in range(2, N):
         colors[i] = i
     for i in range(2, N):
@@ -99,11 +98,7 @@ def adversarial_good_coloring(N: int) -> Coloring:
         for c in block:
             colors[leaf] = c
             leaf += 1
-    for c in range(1, 2 * N - 1):  # place a_1
-        colors[1] = c
-        if is_harmonious(g, Coloring(tuple(colors))):
-            return Coloring(tuple(colors))
-    raise AssertionError("no color for a_1 in 1..2N-2; construction broken")
+    return Coloring(tuple(colors))
 
 
 def min_vertex_cover(g: Graph, mode: str = "exact") -> VertexCoverResult:

@@ -133,5 +133,6 @@ def lower_bounds(g: Graph) -> BoundsReport:
         combined=combined if g.n else 0,
         upper_trivial=g.n,
         upper_lee_mitchem=(delta * delta + 1) * math.ceil(math.sqrt(g.n)) if g.n else 0,
-        upper_mcdiarmid=math.ceil(2 * delta * math.sqrt(g.n - 1)) if g.n > 1 else g.n,
+        # at least 1: an edgeless graph still needs one color
+        upper_mcdiarmid=max(1, math.ceil(2 * delta * math.sqrt(g.n - 1))) if g.n else 0,
     )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from harmonium import BudgetExceeded, Coloring, named
+from harmonium import BudgetExceeded, Coloring, is_harmonious, named
 from harmonium.cli import (
     EXIT_BUDGET,
     EXIT_MISMATCH,
@@ -24,9 +24,12 @@ def run(capsys, *argv):
 
 
 def test_gen_list(capsys):
-    code, out, _ = run(capsys, "gen", "--list")
+    code, out, _ = run(capsys, "gen")
     assert code == EXIT_OK
-    assert "petersen" in out and "families:" in out
+    lines = out.splitlines()
+    assert "petersen: n=10 m=15 3-regular diameter=2" in lines
+    assert "house: n=5 m=6 irregular diameter=2" in lines
+    assert lines[-1].startswith("families: path, cycle")
 
 
 def test_gen_family_to_file(tmp_path, capsys):
@@ -34,11 +37,6 @@ def test_gen_family_to_file(tmp_path, capsys):
     code, _, _ = run(capsys, "gen", "family:cycle:5", "-o", str(target))
     assert code == EXIT_OK
     assert load_graph(str(target)) == cycle(5)
-
-
-def test_gen_needs_a_source(capsys):
-    code, _, err = run(capsys, "gen")
-    assert code == EXIT_USAGE
 
 
 def test_load_graph_name_and_family():
@@ -56,6 +54,10 @@ def test_solve_json(capsys):
     assert sorted(payload) == ["elapsed", "h", "nodes_explored", "witness"]
     assert payload["h"] == 5
     assert len(payload["witness"]) == 6
+    code, out, _ = run(capsys, "solve", "family:cycle:6")
+    assert code == EXIT_OK
+    assert [line.split("=")[0] for line in out.splitlines()] == list(payload)
+    assert "h=5" in out.splitlines()
 
 
 def test_solve_decision_mode(capsys):
@@ -92,6 +94,9 @@ def test_solve_parallel_flag_removed(capsys):
     ("vc-color", "family:cycle:6", "--exact"),
     ("gen", "--family", "cycle", "--n", "5"),
     ("construct", "--family", "sun", "--n", "5"),
+    ("gen", "--list"),
+    ("vc-color", "family:cycle:6", "--approx"),
+    ("construct", "family:sun:5", "--out-prefix", "x"),
 ])
 def test_removed_options_are_usage_errors(capsys, argv):
     code, _, _ = run(capsys, *argv)
@@ -184,27 +189,27 @@ def test_vc_color_cli(capsys):
     summary = json.loads(err)
     assert summary["method"] == "exact"
     assert summary["colors_used"] <= summary["bound"] == 3 + 2 * 2 - 2 + 1
-    code, _, err = run(capsys, "vc-color", "family:cycle:30", "--approx")
+    # past the exact search's guard the cover is the 2-approximation
+    code, _, err = run(capsys, "vc-color", "family:cycle:30")
     assert code == EXIT_OK
     assert json.loads(err)["method"] == "matching_2approx"
 
 
 def test_construct_cli(tmp_path, capsys):
-    code, out, _ = run(capsys, "construct", "family:sunflower:8")
+    code, out, err = run(capsys, "construct", "family:sunflower:8")
     assert code == EXIT_OK
-    assert json.loads(out)["colors_used"] == 9
-    code, out, _ = run(capsys, "construct", "family:closed_sun:7")
+    assert json.loads(err) == {"colors_used": 9}
+    assert len(out.splitlines()) == load_graph("family:sunflower:8").n
+    code, _, err = run(capsys, "construct", "family:closed_sun:7")
     assert code == EXIT_OK
-    assert json.loads(out)["colors_used"] == 7 + 5
-    prefix = tmp_path / "lp"
-    code, out, _ = run(
-        capsys, "construct", "family:lollipop:6:4", "--out-prefix", str(prefix),
-    )
-    assert code == EXIT_OK
-    assert json.loads(out)["colors_used"] == 8
-    assert (tmp_path / "lp.edges").exists()
-    assert (tmp_path / "lp.coloring").exists()
-    assert (tmp_path / "lp.dot").exists()
+    assert json.loads(err)["colors_used"] == 7 + 5
+    target = tmp_path / "lp.coloring"
+    code, out, err = run(capsys, "construct", "family:lollipop:6:4", "-o", str(target))
+    assert code == EXIT_OK and out == ""
+    g = load_graph("family:lollipop:6:4")
+    c = load_coloring(str(target), g.n)
+    assert is_harmonious(g, c).ok
+    assert c.k == json.loads(err)["colors_used"] == 8
 
 
 def test_construct_lollipop_needs_m(capsys):
@@ -223,6 +228,16 @@ def test_reduce_cli(tmp_path, capsys):
     assert payload["threshold"] == 11
     assert payload["equivalent"] is True
     assert load_graph(str(out_file)).n == 13
+
+
+def test_refused_reduce_verify_writes_no_file(tmp_path, capsys):
+    out_file = tmp_path / "g.edges"
+    code, _, err = run(
+        capsys, "reduce", "family:cycle:7", "--k", "2", "--verify", "-o", str(out_file)
+    )
+    assert code == EXIT_USAGE
+    assert "guarded to n <= 6" in err
+    assert not out_file.exists()
 
 
 def test_reduce_gap(capsys):

@@ -108,6 +108,14 @@ def test_good_coloring_beats_greedy():
         assert greedy(g, order).k == (N - 1) ** 2 + 1
 
 
+def test_good_colorings_are_pinned():
+    # recorded for N = 3..12 when a_1's color was found by trying each in turn
+    colorings = repr([adversarial_good_coloring(N).colors for N in range(3, 13)])
+    assert hashlib.sha256(colorings.encode()).hexdigest() == (
+        "77f64fa8160798bc2bd7741061c594bf7891ec75c5ec034fc52673e25b185e23"
+    )
+
+
 def test_good_coloring_rejects_small_n():
     with pytest.raises(ValueError):
         adversarial_good_coloring(2)

@@ -146,6 +146,22 @@ def test_exact_h_at_least_combined(rng):
         assert solve(g).h >= lower_bounds(g).combined
 
 
+def test_upper_bounds_are_at_least_h(rng):
+    from conftest import random_graph
+
+    fields = [f for f in vars(lower_bounds(path(2))) if f.startswith("upper_")]
+    edgeless = 0
+    for i in range(120):
+        # every fourth graph edgeless: its h is 1 whatever n is
+        g = random_graph(rng.randint(1, 8), 0.0 if i % 4 == 0 else rng.uniform(0.1, 0.9), rng)
+        edgeless += g.m == 0
+        h = oracle_h(g)
+        report = lower_bounds(g)
+        for f in fields:
+            assert getattr(report, f) >= h, (f, g.n, sorted(g.edges))
+    assert len(fields) == 3 and edgeless >= 30
+
+
 def test_diameter2_exact_h_is_n(rng):
     from conftest import random_graph
 
