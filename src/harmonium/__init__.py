@@ -23,7 +23,7 @@ from .solver import (
     oracle_h,
     solve,
 )
-from .families import FamilySpec, adversarial_tree, generate
+from .families import adversarial_tree, generate
 from .catalog import CATALOG, named
 from .heuristics import (
     VertexCoverResult,

@@ -110,5 +110,5 @@ def named(name: str) -> Graph:
     try:
         edges = CATALOG[name]
     except KeyError:
-        raise KeyError(f"unknown catalog graph {name!r}; known: {', '.join(CATALOG)}") from None
+        raise ValueError(f"unknown catalog graph {name!r}; known: {', '.join(CATALOG)}") from None
     return from_edge_list(1 + max(map(max, edges)), edges)

@@ -41,13 +41,13 @@ _PALETTE = (
 )
 
 
-def _family_spec(spec: str) -> families.FamilySpec:
-    """Parse a `family:<family>:<n>[:<m>]` reference."""
+def _family_spec(spec: str) -> tuple[str, int, int | None]:
+    """Parse a `family:<family>:<n>[:<m>]` reference into (family, n, m)."""
     parts = spec.split(":")
     if parts[0] != "family" or not 3 <= len(parts) <= 4:
         raise ValueError(f"expected family:<family>:<n>[:<m>], got {spec!r}")
     m = int(parts[3]) if len(parts) == 4 else None
-    return families.FamilySpec(parts[1], int(parts[2]), m)
+    return parts[1], int(parts[2]), m
 
 
 def load_graph(spec: str) -> Graph:
@@ -55,7 +55,7 @@ def load_graph(spec: str) -> Graph:
     if spec.startswith("name:"):
         return catalog.named(spec[5:])
     if spec.startswith("family:"):
-        return families.generate(_family_spec(spec))
+        return families.generate(*_family_spec(spec))
     if spec == "-":
         return parse_edge_list(sys.stdin.read())
     with open(spec) as fh:
@@ -97,7 +97,7 @@ def export_dot(g: Graph, c: Coloring | None = None) -> str:
             col = c.colors[v]
             fill = _PALETTE[(col - 1) % len(_PALETTE)]
             lines.append(f'  {v} [label="{col}", fillcolor="{fill}"];')
-    for u, v in g.edge_list():
+    for u, v in g.edges:
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -216,20 +216,20 @@ def cmd_vc_color(args) -> int:
 
 # the closed-form coloring of each family that has one, by family name
 _CONSTRUCTIONS = {
-    "sunflower": lambda s: constructive.color_sunflower(s.n),
-    "sun": lambda s: constructive.color_sun(s.n),
-    "closed_sun": lambda s: constructive.color_closed_sun(s.n),
-    "lollipop": lambda s: constructive.lollipop_coloring(constructive.lollipop_plan(s.n, s.m)),
+    "sunflower": lambda n, m: constructive.color_sunflower(n),
+    "sun": lambda n, m: constructive.color_sun(n),
+    "closed_sun": lambda n, m: constructive.color_closed_sun(n),
+    "lollipop": lambda n, m: constructive.lollipop_coloring(constructive.lollipop_plan(n, m)),
 }
 
 
 def cmd_construct(args) -> int:
-    spec = _family_spec(args.graph)
-    if spec.family not in _CONSTRUCTIONS:
-        raise ValueError(f"no closed form for family {spec.family!r}; "
+    family, n, m = _family_spec(args.graph)
+    if family not in _CONSTRUCTIONS:
+        raise ValueError(f"no closed form for family {family!r}; "
                          f"known: {', '.join(_CONSTRUCTIONS)}")
-    g = families.generate(spec)
-    c = _CONSTRUCTIONS[spec.family](spec)
+    g = families.generate(family, n, m)
+    c = _CONSTRUCTIONS[family](n, m)
     verdict = is_harmonious(g, c)
     if not verdict.ok:
         print(f"construction failed verification: {verdict}", file=sys.stderr)
@@ -293,11 +293,11 @@ def _reproduce_rows():
         yield f"closed_sun({n})", exp, solver_for(families.closed_sun(n))
     yield "lollipop(6,4)", 8, solver_for(families.lollipop(6, 4))
     for N in (4, 5, 6):
-        tree, order = families.adversarial_tree(N)
+        tree = families.adversarial_tree(N)
         yield (
             f"greedy(adversarial_tree({N}))",
             (N - 1) ** 2 + 1,
-            lambda t=tree, o=order: heuristics.greedy(t, o).k,
+            lambda t=tree: heuristics.greedy(t, list(range(t.n))).k,
         )
         yield (
             f"good_coloring({N}) <= {2 * N - 2}",
@@ -421,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

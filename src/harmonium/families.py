@@ -9,15 +9,7 @@ clique is ids 0..n-1 with the path hanging off vertex 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph, from_edge_list
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    n: int
-    m: int | None = None  # second parameter (lollipop m, petersen skip k)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -185,40 +177,32 @@ _DISPATCH = {
 FAMILIES = tuple(_DISPATCH)
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Build the graph described by a FamilySpec."""
-    if spec.family not in _DISPATCH:
-        raise ValueError(f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}")
-    fn = _DISPATCH[spec.family]
-    if spec.family in _TWO_PARAM:
-        if spec.m is None:
-            raise ValueError(f"family {spec.family!r} needs a second parameter")
-        return fn(spec.n, spec.m)
-    if spec.m is not None:
-        raise ValueError(f"family {spec.family!r} takes a single parameter")
-    return fn(spec.n)
+def generate(family: str, n: int, m: int | None = None) -> Graph:
+    """Build a family member by name: m is the second parameter (lollipop
+    path length, generalized_petersen skip), given for exactly those two."""
+    if family not in _DISPATCH:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    fn = _DISPATCH[family]
+    if family in _TWO_PARAM:
+        if m is None:
+            raise ValueError(f"family {family!r} needs a second parameter")
+        return fn(n, m)
+    if m is not None:
+        raise ValueError(f"family {family!r} takes a single parameter")
+    return fn(n)
 
 
-def adversarial_tree(N: int) -> tuple[Graph, list[int]]:
+def adversarial_tree(N: int) -> Graph:
     """Tree on N(N-1) vertices that defeats the greedy colorer.
 
-    Root 0 has children 1..N-1; each of 2..N-1 carries a middle vertex
-    which in turn has N-1 leaves. Returns the tree together with the
-    vertex order (root, a-layer, b-layer, leaves) that forces greedy to
-    spend (N-1)^2 + 1 colors.
+    Root 0 has children a_1..a_{N-1} (ids 1..N-1); each of a_2..a_{N-1}
+    carries a middle vertex b_i (id N+i-2) which in turn has N-1 leaves,
+    the ids from 2N-2 up in blocks of N-1. Index order is the adversarial
+    order (root, a-layer, b-layer, leaves): greedy given list(range(n))
+    spends (N-1)^2 + 1 colors.
     """
     if N < 3:
         raise ValueError(f"adversarial tree needs N >= 3, got {N}")
-    edges = [(0, i) for i in range(1, N)]
-    b_of = {}
-    for i in range(2, N):
-        b = N + (i - 2)
-        b_of[i] = b
-        edges.append((i, b))
-    nxt = 2 * N - 2
-    for i in range(2, N):
-        for _ in range(N - 1):
-            edges.append((b_of[i], nxt))
-            nxt += 1
-    g = from_edge_list(N * (N - 1), edges)
-    return g, list(range(g.n))
+    edges = [(0, i) for i in range(1, N)] + [(i, N + i - 2) for i in range(2, N)]
+    edges += [(N + (x - (2 * N - 2)) // (N - 1), x) for x in range(2 * N - 2, N * (N - 1))]
+    return from_edge_list(N * (N - 1), edges)

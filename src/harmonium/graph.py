@@ -1,9 +1,9 @@
 """Immutable simple-graph type, degree statistics and distance queries.
 
-Vertices are dense ids 0..n-1. Edges are stored both as a frozenset of
-ordered pairs (u < v) and as per-vertex sorted neighbor tuples; neighbor
-iteration order is ascending id, which downstream greedy code relies on
-for determinism.
+Vertices are dense ids 0..n-1. Edges are stored as one ascending tuple of
+pairs (u, v) with u < v, the only edge order any caller sees, and as
+per-vertex sorted neighbor tuples; neighbor iteration order is ascending
+id, which downstream greedy code relies on for determinism.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ class Graph:
     """Undirected simple graph on vertices 0..n-1."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    edges: tuple[tuple[int, int], ...]  # (u, v) with u < v, ascending
     adj: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @property
@@ -31,14 +31,9 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        """Edges as (u, v) with u < v, in ascending lexicographic order."""
-        return sorted(self.edges)
-
 
 @dataclass(frozen=True)
 class GraphStats:
-    m: int
     max_degree: int
     degree_sequence: tuple[int, ...]
 
@@ -50,19 +45,19 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
-    edges = set()
+    distinct = set()
     for u, v in pairs:
         if u == v:
             raise ValueError(f"self-loop ({u},{v}) not allowed")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
-        edges.add((min(u, v), max(u, v)))
+        distinct.add((min(u, v), max(u, v)))
+    edges = tuple(sorted(distinct))
     neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
+    for u, v in edges:  # ascending, so each vertex meets its neighbors in order
         neighbors[u].append(v)
         neighbors[v].append(u)
-    adj = tuple(tuple(sorted(ns)) for ns in neighbors)
-    return Graph(n=n, edges=frozenset(edges), adj=adj)
+    return Graph(n=n, edges=edges, adj=tuple(map(tuple, neighbors)))
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -80,9 +75,9 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 
 def stats(g: Graph) -> GraphStats:
-    """Edge count, max degree and degree sequence, in O(n)."""
+    """Max degree and degree sequence, in O(n)."""
     degs = tuple(g.degree(v) for v in range(g.n))
-    return GraphStats(m=g.m, max_degree=max(degs, default=0), degree_sequence=degs)
+    return GraphStats(max_degree=max(degs, default=0), degree_sequence=degs)
 
 
 def diameter(g: Graph) -> int:
@@ -143,5 +138,5 @@ def parse_edge_list(text: str) -> Graph:
 def emit_edge_list(g: Graph) -> str:
     """Serialize to the canonical format; inverse of parse_edge_list."""
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edge_list())
+    lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"

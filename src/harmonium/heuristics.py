@@ -105,11 +105,9 @@ def min_vertex_cover(g: Graph, mode: str = "exact") -> VertexCoverResult:
     """Minimum vertex cover (branch on an uncovered edge) or the
     maximal-matching 2-approximation."""
     if mode == "approx":
-        matched: set[int] = set()
         cover: set[int] = set()
-        for u, v in g.edge_list():
-            if u not in matched and v not in matched:
-                matched |= {u, v}
+        for u, v in g.edges:
+            if u not in cover and v not in cover:
                 cover |= {u, v}
         return VertexCoverResult(frozenset(cover), "matching_2approx")
     if mode != "exact":
@@ -132,7 +130,7 @@ def min_vertex_cover(g: Graph, mode: str = "exact") -> VertexCoverResult:
         branch(edges, chosen | {u})
         branch(edges, chosen | {v})
 
-    branch(g.edge_list(), set())
+    branch(list(g.edges), set())
     return VertexCoverResult(frozenset(best), "exact")
 
 

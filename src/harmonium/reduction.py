@@ -28,16 +28,6 @@ class ReductionInstance:
     k: int
     threshold: int  # 2|V| + 3 - k
 
-    @property
-    def apex(self) -> tuple[int, int, int]:
-        n = self.source.n
-        return (n, n + 1, n + 2)
-
-    @property
-    def clique_vertices(self) -> range:
-        n = self.source.n
-        return range(n + 3, 2 * n + 3)
-
 
 def build(g: Graph, k: int) -> ReductionInstance:
     """Gadget numbering: source vertices 0..n-1, apex triangle n..n+2,

@@ -85,6 +85,7 @@ def _search(g: Graph, k: int, node_budget: int | None,
     v == n leaf included.
     """
     n = g.n
+    k = min(k, n)  # maxc < n, so no color above n is tried: k sizes nothing
     # neighbors of v with a smaller index: colored before v
     back = [[u for u in g.adj[v] if u < v] for v in range(n)]
     # allowed[maxc]: a brand-new color must be maxc + 1 (symmetry breaking)

@@ -64,7 +64,7 @@ def is_harmonious(g: Graph, c: Coloring) -> Verdict:
     """Verify properness and edge-pair injectivity in one pass."""
     _check_total(g, c)
     seen: dict[tuple[int, int], tuple[int, int]] = {}
-    for u, v in g.edge_list():
+    for u, v in g.edges:
         a, b = c.colors[u], c.colors[v]
         if a == b:
             return Verdict("not_proper", edge=(u, v))
@@ -83,7 +83,7 @@ def edge_pair_table(g: Graph, c: Coloring) -> dict[tuple[int, int], list[tuple[i
     """
     _check_total(g, c)
     table: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, v in g.edge_list():
+    for u, v in g.edges:
         a, b = c.colors[u], c.colors[v]
         table.setdefault((min(a, b), max(a, b)), []).append((u, v))
     return table
@@ -94,8 +94,9 @@ class BoundsReport:
     """Lower bounds on the harmonious chromatic number, plus context.
 
     combined is the largest of size_bound, delta_bound, regular33_bound (7
-    for 3-regular diameter-3 graphs) and, for diameter at most 2, n; it is
-    0 for the empty graph. The upper-bound formulas are context only.
+    for 3-regular diameter-3 graphs) and, for diameter at most 2, n. The
+    first two never exceed n, so on the empty graph they and combined are
+    0. The upper-bound formulas are context only.
     """
 
     size_bound: int
@@ -117,20 +118,21 @@ def lower_bounds(g: Graph) -> BoundsReport:
     graphs that fail that test pay for the O(n·m) diameter.
     """
     st = stats(g)
-    size_bound = math.ceil((1 + math.isqrt(8 * st.m + 1)) / 2)
-    if (size_bound * (size_bound - 1)) // 2 < st.m:  # isqrt truncation
+    delta = st.max_degree
+    size_bound = math.ceil((1 + math.isqrt(8 * g.m + 1)) / 2)
+    if (size_bound * (size_bound - 1)) // 2 < g.m:  # isqrt truncation
         size_bound += 1
-    delta_bound = st.max_degree + 1
-    within2 = g.n > 0 and all(len(closed_n2(g, v)) == g.n for v in range(g.n))
+    size_bound = min(size_bound, g.n)
+    delta_bound = min(delta + 1, g.n)
+    within2 = all(len(closed_n2(g, v)) == g.n for v in range(g.n))
     cubic = all(d == 3 for d in st.degree_sequence)
     regular33 = 7 if not within2 and cubic and diameter(g) == 3 else None
     combined = max(size_bound, delta_bound, g.n if within2 else 0, regular33 or 0)
-    delta = st.max_degree
     return BoundsReport(
         size_bound=size_bound,
         delta_bound=delta_bound,
         regular33_bound=regular33,
-        combined=combined if g.n else 0,
+        combined=combined,
         upper_trivial=g.n,
         upper_lee_mitchem=(delta * delta + 1) * math.ceil(math.sqrt(g.n)) if g.n else 0,
         # at least 1: an edgeless graph still needs one color

@@ -171,8 +171,8 @@ def test_criterion_7_greedy_ratio():
     failures = []
     ratio_at_8 = 0.0
     for N in range(3, 9):
-        g, order = adversarial_tree(N)
-        bad = greedy(g, order)
+        g = adversarial_tree(N)
+        bad = greedy(g, list(range(g.n)))
         good = adversarial_good_coloring(N)
         if bad.k != (N - 1) ** 2 + 1:
             failures.append(f"N={N}: greedy used {bad.k}")

@@ -327,6 +327,12 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+def test_unknown_catalog_name_is_a_plain_usage_error(capsys):
+    code, _, err = run(capsys, "gen", "name:nope")
+    assert code == EXIT_USAGE
+    assert err.startswith("error: unknown catalog graph 'nope'")
+
+
 def test_stdin_graph(monkeypatch, capsys):
     import io
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from harmonium import (
@@ -21,6 +23,16 @@ def test_duplicate_edges_collapse():
 def test_reversed_pair_is_same_edge():
     g = from_edge_list(3, [(0, 1), (1, 0)])
     assert g.m == 1
+
+
+def test_edges_are_one_ascending_tuple(rng):
+    pairs = list(named("petersen").edges)
+    shuffled = pairs[:]
+    rng.shuffle(shuffled)
+    variants = [pairs, shuffled, [(v, u) for u, v in pairs], pairs + shuffled[:7]]
+    graphs = [from_edge_list(10, ps) for ps in variants]
+    assert all(g.edges == tuple(sorted(pairs)) for g in graphs)
+    assert all(g == graphs[0] and hash(g) == hash(graphs[0]) for g in graphs)
 
 
 def test_self_loop_rejected():
@@ -50,13 +62,13 @@ def test_petersen_shape():
 )
 def test_stats_examples(g, m, delta, diam):
     st = stats(g)
-    assert (st.m, st.max_degree, diameter(g)) == (m, delta, diam)
+    assert (g.m, st.max_degree, diameter(g)) == (m, delta, diam)
 
 
 def test_stats_handshake():
     g = named("moser_spindle")
     st = stats(g)
-    assert sum(st.degree_sequence) == 2 * st.m
+    assert sum(st.degree_sequence) == 2 * g.m
     assert st.max_degree == max(st.degree_sequence)
 
 
@@ -114,6 +126,32 @@ def test_edge_list_round_trip():
     g2 = parse_edge_list(text)
     assert g2 == g
     assert emit_edge_list(g2) == text
+
+
+def test_serialized_graphs_are_pinned():
+    # recorded when edges were a frozenset sorted again by every writer:
+    # any change in edge order changes a digest
+    import hashlib
+
+    from conftest import random_graph
+    from harmonium import CATALOG, families
+    from harmonium.cli import export_dot
+
+    graphs = [named(name) for name in CATALOG]
+    for family in families.FAMILIES:
+        m = 2 if family in ("lollipop", "generalized_petersen") else None
+        graphs += [families.generate(family, n, m) for n in range(5, 9)]
+    graphs += [families.adversarial_tree(N) for N in range(3, 9)]
+    rng = random.Random(2024)
+    graphs += [random_graph(rng.randint(0, 20), rng.uniform(0.0, 0.8), rng) for _ in range(50)]
+    edge_lists, dots = hashlib.sha256(), hashlib.sha256()
+    for g in graphs:
+        edge_lists.update(emit_edge_list(g).encode())
+        dots.update(export_dot(g).encode())
+    assert edge_lists.hexdigest() == (
+        "04790d9cb2bd407a42d23e3c2c199018223c922be49b1a3a623fb2a12cfb9cc9")
+    assert dots.hexdigest() == (
+        "c6a47516932d5d7b1ed411c5c273ffb1f35f40a7bc46f66d434b9f8bd3f9504f")
 
 
 def test_parse_comments_and_errors():

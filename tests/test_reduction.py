@@ -19,8 +19,10 @@ def test_build_shape():
     inst = build(g, 2)
     assert inst.gadget.n == 13
     assert inst.threshold == 11
-    assert inst.apex == (5, 6, 7)
-    assert list(inst.clique_vertices) == [8, 9, 10, 11, 12]
+    # apex triangle 5..7 joined to every source vertex, clique 8..12
+    apex, clique = range(5, 8), range(8, 13)
+    assert all(inst.gadget.adj[a] == tuple(u for u in range(8) if u != a) for a in apex)
+    assert all(inst.gadget.adj[v] == tuple(u for u in clique if u != v) for v in clique)
     # first component: source edges + triangle + join; second: K_5
     assert inst.gadget.m == 5 + 3 + 15 + 10
 

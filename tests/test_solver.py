@@ -36,6 +36,20 @@ def test_petersen_thresholds():
     assert out.feasible and out.witness.k == 10
 
 
+def test_huge_k_costs_no_memory():
+    # no color above n is ever tried, so k beyond n must not size any table
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = exists_k(path(3), 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert out.witness.colors == (1, 2, 3) and out.nodes_explored == 4
+
+
 def test_witness_uses_exactly_h_colors(rng):
     from conftest import random_graph
 

@@ -141,9 +141,13 @@ def test_binomial_edge_bound_on_harmonious_colorings(rng):
 def test_exact_h_at_least_combined(rng):
     from conftest import random_graph
 
-    for _ in range(30):
-        g = random_graph(rng.randint(1, 8), rng.uniform(0.1, 0.7), rng)
-        assert solve(g).h >= lower_bounds(g).combined
+    graphs = [random_graph(rng.randint(1, 8), rng.uniform(0.1, 0.7), rng) for _ in range(30)]
+    # the empty graph has h = 0; planar33_8_1 is cubic with diameter 3
+    for g in graphs + [from_edge_list(0, []), named("planar33_8_1")]:
+        h = solve(g).h
+        b = lower_bounds(g)
+        for bound in (b.size_bound, b.delta_bound, b.regular33_bound or 0, b.combined):
+            assert bound <= h, (b, g.n, g.edges)
 
 
 def test_upper_bounds_are_at_least_h(rng):
@@ -182,7 +186,7 @@ def test_degree_facts_and_bounds_need_no_bfs(monkeypatch):
     for g in (path(200), named("petersen"), from_edge_list(4, [(0, 1), (2, 3)]),
               from_edge_list(0, []), from_edge_list(1, [])):
         st = stats(g)
-        assert sum(st.degree_sequence) == 2 * st.m
+        assert sum(st.degree_sequence) == 2 * g.m
     # non-cubic, diameter 199: only the size and degree bounds apply
     b = lower_bounds(path(200))
     assert b.regular33_bound is None
