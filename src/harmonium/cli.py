@@ -8,9 +8,11 @@ for stdin), `name:<catalog-entry>` or `family:<family>:<n>[:<m>]`;
 artifact (`gen`, `greedy`, `vc-color`, `construct`, `reduce`, `export`)
 writes it to `-o` or stdout and its JSON summary, if any, to stderr.
 
-`solve` keys: h, witness, nodes_explored, elapsed (with --k: k, status,
-nodes_explored, elapsed and, if feasible, witness); `--json` prints them
-as one object, the text mode as `key=value` lines.
+`solve` keys: h, witness, nodes_explored, nodes_walked, elapsed (with
+--k: k, status, nodes_explored, nodes_walked, elapsed and, if feasible,
+witness); `--json` prints them as one object, the text mode as
+`key=value` lines. nodes_explored counts the search tree's nodes,
+nodes_walked the ones the search entered rather than reused.
 """
 
 from __future__ import annotations
@@ -143,12 +145,13 @@ def cmd_solve(args) -> int:
             print(f"solve: {exc}", file=sys.stderr)
             return EXIT_BUDGET
         payload = {"h": res.h, "witness": list(res.witness.colors),
-                   "nodes_explored": res.nodes_explored, "elapsed": res.elapsed}
+                   "nodes_explored": res.nodes_explored, "nodes_walked": res.nodes_walked,
+                   "elapsed": res.elapsed}
         code = EXIT_OK
     else:
         out = exists_k(g, args.k, cfg)
         payload = {"k": args.k, "status": out.status, "nodes_explored": out.nodes_explored,
-                   "elapsed": time.monotonic() - t0}
+                   "nodes_walked": out.nodes_walked, "elapsed": time.monotonic() - t0}
         if out.feasible:
             payload["witness"] = list(out.witness.colors)
         code = (EXIT_BUDGET if out.status == BUDGET_EXHAUSTED

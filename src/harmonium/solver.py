@@ -8,6 +8,15 @@ keep the search small:
     because each edge needs its own color pair,
   - properness + pair uniqueness against already-colored neighbors,
   - symmetry breaking: a brand-new color must be (max color so far) + 1.
+A failed-subtree table then skips work without changing the tree. With
+vertices 0..v-1 colored, the search below v reads only the largest color
+so far, the color pairs used so far and the colors of the vertices before
+v that have a neighbor at or after v. Two entries to v that agree on these
+have identical subtrees, and a subtree holding a witness ends the search,
+so a state seen again at v failed before: its stored node count is added
+instead of walking it again. The tables are kept only where at most two
+earlier vertices touch the rest (cycles, paths, lollipop tails). The
+nodes, witnesses and budget verdicts are those of the plain walk.
 An "infeasible" answer is an exhaustive claim; running out of budget is
 reported as its own outcome, never conflated with infeasibility.
 
@@ -54,7 +63,12 @@ class SearchOutcome:
 
     status: str  # "witness" | INFEASIBLE | BUDGET_EXHAUSTED
     witness: Coloring | None
-    nodes_explored: int
+    nodes_explored: int  # nodes of the search tree
+    nodes_walked: int | None = None  # nodes the loop entered; None: all of them
+
+    def __post_init__(self):
+        if self.nodes_walked is None:
+            object.__setattr__(self, "nodes_walked", self.nodes_explored)
 
     @property
     def feasible(self) -> bool:
@@ -66,12 +80,19 @@ class SolveResult:
     h: int
     witness: Coloring
     nodes_explored: int
+    nodes_walked: int
     elapsed: float
 
 
 # the deadline is read once every _TICK nodes
 _TICK = 4096
 _NEVER = sys.maxsize
+# a depth keeps a failed-subtree table only when at most this many colored
+# vertices touch the rest of the graph: cycles, paths and lollipop tails.
+# Wider fronts rarely repeat: tables at every depth saved 11k of the 1.08M
+# nodes of GP(10,3) at k = 9 for a 50 MB tracemalloc peak, and a cap of 3
+# walks the same nodes as 2 on the exact ladder's fixed instances.
+_FRONT_CAP = 2
 
 
 def _search(g: Graph, k: int, node_budget: int | None,
@@ -81,53 +102,102 @@ def _search(g: Graph, k: int, node_budget: int | None,
     used[c] is the bitmask of the colors already paired with c. The
     candidates at v are colors 1..min(maxc+1, k) minus the back neighbors'
     colors and their partners, or none if two back neighbors share a color;
-    they are tried lowest first. Every entered vertex is one node, the
-    v == n leaf included.
+    they are tried lowest first. Every vertex of the search tree is one node,
+    the v == n leaf included, and nodes_explored counts them whether the loop
+    walked them or reused a failed subtree's stored count; nodes_walked
+    counts only the nodes the loop entered.
+
+    With 0..v-1 colored, the search below v reads only maxc (through
+    allowed), used[1..maxc] (higher colors have no pairs yet) and the colors
+    of front[v], the vertices u < v with a neighbor >= v. Two entries to v
+    that agree on these have identical subtrees, node for node. A subtree
+    with a witness ends the search, so every subtree entered a second time
+    failed: its stored size stands in for walking it again.
     """
     n = g.n
     k = min(k, n)  # maxc < n, so no color above n is tried: k sizes nothing
     # neighbors of v with a smaller index: colored before v
     back = [[u for u in g.adj[v] if u < v] for v in range(n)]
+    front = [[] for _ in range(n)]
+    for u in range(n):
+        for w in range(u + 1, max(g.adj[u], default=u) + 1):
+            front[w].append(u)
+    # tables[v]: the exact state at entry to v, packed into one int, -> the
+    # size of its failed subtree; None where the front is too wide to repeat,
+    # and at v = n - 1, whose subtree is one node or holds the witness
+    tables = [{} if len(f) <= _FRONT_CAP else None for f in front[:-1]] + [None]
+    cbits, pbits = k.bit_length(), k + 1
     # allowed[maxc]: a brand-new color must be maxc + 1 (symmetry breaking)
     allowed = [(2 << min(maxc + 1, k)) - 2 for maxc in range(k + 1)]
     used = [0] * (k + 1)
     color = [0] * n
-    # the stack, per depth v: colors not tried yet, back colors' mask, maxc
+    # the stack, per depth v: colors not tried yet, back colors' mask, maxc,
+    # and for a tabled depth the entry state's key and node count
     untried = [0] * n
     seen = [0] * n
     tops = [0] * n
+    keys = [0] * n
+    starts = [_NEVER] * n  # never written at an untabled depth
     stop = _NEVER if node_budget is None else node_budget + 1
     tick = _NEVER if deadline is None else _TICK
     check_at = min(stop, tick)
-    nodes = 0
+    nodes = reused = 0
     v = maxc = 0
     while True:
         nodes += 1
         if nodes >= check_at:
             if nodes >= stop or time.monotonic() > deadline:
-                return SearchOutcome(BUDGET_EXHAUSTED, None, nodes)
-            tick += _TICK
+                return SearchOutcome(BUDGET_EXHAUSTED, None, nodes, nodes - reused)
+            tick = nodes + _TICK
             check_at = min(stop, tick)
         if v == n:
-            return SearchOutcome("witness", Coloring(tuple(color)), nodes)
-        mask = forbid = 0
-        for u in back[v]:
-            cu = color[u]
-            bit = 1 << cu
-            if mask & bit:
-                cands = 0
-                break
-            mask |= bit
-            forbid |= used[cu]
+            return SearchOutcome("witness", Coloring(tuple(color)), nodes, nodes - reused)
+        table = tables[v]
+        sub = 0
+        if table is not None:
+            # maxc, then the front colors, then used[1..maxc]: the front's
+            # length is fixed at v and a larger maxc makes a longer key, so
+            # two states never share one. A prune that reads more state
+            # below v must add it here.
+            key = maxc
+            for u in front[v]:
+                key = key << cbits | color[u]
+            for pairs in used[1:maxc + 1]:
+                key = key << pbits | pairs
+            keys[v] = key
+            starts[v] = nodes
+            sub = table.get(key, 0)
+        if sub:
+            nodes += sub - 1
+            reused += sub - 1
+            if nodes >= check_at:
+                if nodes >= stop:
+                    return SearchOutcome(BUDGET_EXHAUSTED, None, stop, nodes - reused)
+                tick = nodes + _TICK
+                check_at = min(stop, tick)
+            cands = 0
         else:
-            cands = allowed[maxc] & ~(mask | forbid)
-        if cands:
-            seen[v] = mask
-            tops[v] = maxc
+            mask = forbid = 0
+            for u in back[v]:
+                cu = color[u]
+                bit = 1 << cu
+                if mask & bit:
+                    cands = 0
+                    break
+                mask |= bit
+                forbid |= used[cu]
+            else:
+                cands = allowed[maxc] & ~(mask | forbid)
+            if cands:
+                seen[v] = mask
+                tops[v] = maxc
         while not cands:
+            # v's subtree failed; one-node failures are cheaper to redo
+            if nodes > starts[v]:
+                tables[v][keys[v]] = nodes - starts[v] + 1
             v -= 1
             if v < 0:
-                return SearchOutcome(INFEASIBLE, None, nodes)
+                return SearchOutcome(INFEASIBLE, None, nodes, nodes - reused)
             c = color[v]
             bit = 1 << c
             mask = seen[v]
@@ -186,7 +256,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     t0 = time.monotonic()
     deadline = t0 + cfg.time_budget if cfg.time_budget else None
     k = lower_bounds(g).combined
-    total_nodes = 0
+    total_nodes = total_walked = 0
     while True:
         nodes_left = None if cfg.node_budget is None else cfg.node_budget - total_nodes
         secs_left = None if deadline is None else deadline - time.monotonic()
@@ -197,11 +267,13 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
                 f"budget exhausted at k={k}; h is between {k} and {g.n}"
             )
         total_nodes += out.nodes_explored
+        total_walked += out.nodes_walked
         if out.feasible:
             return SolveResult(
                 h=k,
                 witness=out.witness,
                 nodes_explored=total_nodes,
+                nodes_walked=total_walked,
                 elapsed=time.monotonic() - t0,
             )
         k += 1

@@ -51,7 +51,7 @@ def test_solve_json(capsys):
     code, out, _ = run(capsys, "solve", "family:cycle:6", "--json")
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert sorted(payload) == ["elapsed", "h", "nodes_explored", "witness"]
+    assert sorted(payload) == ["elapsed", "h", "nodes_explored", "nodes_walked", "witness"]
     assert payload["h"] == 5
     assert len(payload["witness"]) == 6
     code, out, _ = run(capsys, "solve", "family:cycle:6")

@@ -151,6 +151,8 @@ def test_node_budget_bounds_the_whole_solve():
 SEARCH_TREES = {
     "C14": (cycle(14), {6: (INFEASIBLE, 4040), 7: ("witness", 16)},
             (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 7)),
+    "C20": (cycle(20), {7: (INFEASIBLE, 1_888_430), 8: ("witness", 4_770)},
+            (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 5, 3, 6, 4, 7, 5, 8)),
     "GP7-2": (generalized_petersen(7, 2), {7: ("witness", 422)},
               (1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7, 1, 2, 3)),
     "GP8-3": (generalized_petersen(8, 3), {8: ("witness", 153)},
@@ -171,6 +173,9 @@ def test_search_tree_is_unchanged(name):
         assert exists_k(g, k, SolverConfig(node_budget=nodes)).status == status
         short = exists_k(g, k, SolverConfig(node_budget=nodes - 1))
         assert (short.status, short.witness) == (BUDGET_EXHAUSTED, None)
+        for budget in (nodes // 3, nodes // 2):
+            out = exists_k(g, k, SolverConfig(node_budget=budget))
+            assert (out.status, out.nodes_explored) == (BUDGET_EXHAUSTED, budget + 1)
     res = solve(g)
     assert res.h == max(per_k) and res.witness.colors == witness
     assert res.nodes_explored == sum(nodes for _, nodes in per_k.values())
@@ -182,9 +187,19 @@ def test_deep_search_needs_no_recursion():
     assert out.feasible and is_harmonious(g, out.witness).ok
 
 
+def test_walked_nodes_count_only_what_the_search_entered():
+    # C20's k = 7 proof reuses failed subtrees; franklin's fronts exceed two
+    # vertices past depth 2, and no state repeats before that
+    out = exists_k(cycle(20), 7)
+    assert out.nodes_walked < out.nodes_explored
+    out = exists_k(named("franklin"), 8)
+    assert out.nodes_walked == out.nodes_explored
+
+
 def test_time_budget_stops_the_search():
-    g = cycle(20)  # proving k = 7 infeasible takes about 1.9M nodes
-    out = exists_k(g, 7, SolverConfig(time_budget=0.01))
+    # proving k = 9 infeasible walks about 1.1M nodes: no subtree is reused
+    g = generalized_petersen(10, 3)
+    out = exists_k(g, 9, SolverConfig(time_budget=0.01))
     assert (out.status, out.witness) == (BUDGET_EXHAUSTED, None)
     with pytest.raises(BudgetExceeded):
         solve(g, SolverConfig(time_budget=0.01))
