@@ -2,11 +2,13 @@
 
 Exit codes: 0 ok, 1 mismatch/infeasible/verification failure, 2 usage
 error, 3 budget exhausted. JSON is the machine interface; tables are for
-humans. Every command names its graph the same way: a file path (`-`
-for stdin), `name:<catalog-entry>` or `family:<family>:<n>[:<m>]`;
-`construct` takes only `family:` references. Every command that makes an
-artifact (`gen`, `greedy`, `vc-color`, `construct`, `reduce`, `export`)
-writes it to `-o` or stdout and its JSON summary, if any, to stderr.
+humans. Every command names its graph the same way, through one helper
+in `build_parser`: a file path (`-` for stdin), `name:<catalog-entry>` or
+`family:<family>:<n>[:<m>]`, which `main` resolves once (`load_graph`);
+`construct` takes only `family:` references with a closed form. Every
+command that makes an artifact (`gen`, `greedy`, `vc-color`,
+`construct`, `reduce`, `export`) gets `-o` in one loop of `build_parser`
+and writes the artifact there or to stdout, its JSON summary to stderr.
 
 `solve` keys: h, witness, nodes_explored, nodes_walked, elapsed (with
 --k: k, status, nodes_explored, nodes_walked, elapsed and, if feasible,
@@ -22,6 +24,7 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from fractions import Fraction
 
 from . import catalog, constructive, families, heuristics, reduction
 from .graph import Graph, _int_pair, _rows, diameter, emit_edge_list, parse_edge_list, stats
@@ -41,6 +44,10 @@ _PALETTE = (
     "#46f0f0", "#f032e6", "#bcf60c", "#fabebe", "#008080", "#e6beff",
     "#9a6324", "#fffac8", "#800000", "#aaffc3",
 )
+
+
+class _CheckFailed(Exception):
+    """A check the command runs on its own result failed: exit 1."""
 
 
 def _family_spec(spec: str) -> tuple[str, int, int | None]:
@@ -99,9 +106,7 @@ def export_dot(g: Graph, c: Coloring | None = None) -> str:
             col = c.colors[v]
             fill = _PALETTE[(col - 1) % len(_PALETTE)]
             lines.append(f'  {v} [label="{col}", fillcolor="{fill}"];')
-    for u, v in g.edges:
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
+    lines += [f"  {u} -- {v};" for u, v in g.edges] + ["}"]
     return "\n".join(lines) + "\n"
 
 
@@ -124,18 +129,17 @@ def _catalog_line(name: str) -> str:
     return f"{name}: n={g.n} m={g.m} {reg} diameter={diameter(g)}\n"
 
 
-def cmd_gen(args) -> int:
-    if args.graph is None:  # nothing to generate: list what can be
+def cmd_gen(args, g: Graph | None) -> int:
+    if g is None:  # nothing to generate: list what can be
         text = "".join(map(_catalog_line, catalog.CATALOG))
         text += f"families: {', '.join(families.FAMILIES)}\n"
     else:
-        text = emit_edge_list(load_graph(args.graph))
+        text = emit_edge_list(g)
     _emit(args.output, text)
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    g = load_graph(args.graph)
+def cmd_solve(args, g: Graph) -> int:
     cfg = SolverConfig(node_budget=args.budget_nodes, time_budget=args.budget_secs)
     t0 = time.monotonic()
     if args.k is None:
@@ -164,14 +168,12 @@ def cmd_solve(args) -> int:
     return code
 
 
-def cmd_bound(args) -> int:
-    g = load_graph(args.graph)
+def cmd_bound(args, g: Graph) -> int:
     print(json.dumps(asdict(lower_bounds(g))))
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    g = load_graph(args.graph)
+def cmd_check(args, g: Graph) -> int:
     c = load_coloring(args.coloring, g.n)
     verdict = is_harmonious(g, c)
     if verdict.ok:
@@ -184,16 +186,13 @@ def cmd_check(args) -> int:
     return EXIT_MISMATCH
 
 
-def cmd_greedy(args) -> int:
-    g = load_graph(args.graph)
-    if args.order == "index":
+def cmd_greedy(args, g: Graph) -> int:
+    if args.order in ("index", "random"):
         order = list(range(g.n))
-    elif args.order == "random":
-        import random
+        if args.order == "random":
+            import random
 
-        rng = random.Random(args.seed)
-        order = list(range(g.n))
-        rng.shuffle(order)
+            random.Random(args.seed).shuffle(order)
     else:
         with open(args.order) as fh:
             order = [int(tok) for tok in fh.read().split()]
@@ -202,18 +201,14 @@ def cmd_greedy(args) -> int:
     return EXIT_OK
 
 
-def cmd_vc_color(args) -> int:
-    g = load_graph(args.graph)
+def cmd_vc_color(args, g: Graph) -> int:
     # the exact cover is an exponential search, guarded to small n
     mode = "exact" if g.n <= heuristics.EXACT_SEARCH_MAX_N else "approx"
     cover = heuristics.min_vertex_cover(g, mode)
     c = heuristics.vc_coloring(g, cover)
-    _emit(args.output, emit_coloring(c), {
-        "cover_size": cover.size,
-        "method": cover.method,
-        "colors_used": c.k,
-        "bound": heuristics.vc_budget(g, cover),
-    })
+    _emit(args.output, emit_coloring(c), {"cover_size": cover.size, "method": cover.method,
+                                          "colors_used": c.k,
+                                          "bound": heuristics.vc_budget(g, cover)})
     return EXIT_OK
 
 
@@ -226,98 +221,92 @@ _CONSTRUCTIONS = {
 }
 
 
-def cmd_construct(args) -> int:
-    family, n, m = _family_spec(args.graph)
+def _closed_form(ref: str) -> tuple[str, int, int | None]:
+    """(family, n, m) of a `family:` reference whose family has a closed form."""
+    family, n, m = _family_spec(ref)
     if family not in _CONSTRUCTIONS:
         raise ValueError(f"no closed form for family {family!r}; "
                          f"known: {', '.join(_CONSTRUCTIONS)}")
-    g = families.generate(family, n, m)
+    return family, n, m
+
+
+def _construct(ref: str, g: Graph) -> Coloring:
+    """The closed-form coloring of g, the graph ref names, checked on g."""
+    family, n, m = _closed_form(ref)
     c = _CONSTRUCTIONS[family](n, m)
     verdict = is_harmonious(g, c)
     if not verdict.ok:
-        print(f"construction failed verification: {verdict}", file=sys.stderr)
-        return EXIT_MISMATCH
+        raise _CheckFailed(f"construction failed verification: {verdict}")
+    return c
+
+
+def cmd_construct(args, g: Graph) -> int:
+    c = _construct(args.graph, g)
     _emit(args.output, emit_coloring(c), {"colors_used": c.k})
     return EXIT_OK
 
 
-def cmd_reduce(args) -> int:
-    g = load_graph(args.graph)
+def _density(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"density {text!r} has a zero denominator") from None
+
+
+def cmd_reduce(args, g: Graph) -> int:
     inst = reduction.build(g, args.k)
     payload = {"threshold": inst.threshold, "gadget_n": inst.gadget.n}
     if args.gap:
-        from fractions import Fraction
-
-        c, s = (Fraction(x) for x in args.gap)
+        c, s = map(_density, args.gap)
         payload["gap_ratio"] = float(reduction.gap_ratio(c, s))
     code = EXIT_OK
     if args.verify:  # before writing, so a refused check leaves no file behind
         report = reduction.verify_equivalence(g, args.k)
-        payload.update(
-            is_exists=report.is_exists,
-            colorable_at_threshold=report.colorable_at_threshold,
-            equivalent=report.equivalent,
-        )
+        payload.update(asdict(report), equivalent=report.equivalent)
         code = EXIT_OK if report.equivalent else EXIT_MISMATCH
     _emit(args.output, emit_edge_list(inst.gadget), payload)
     return code
 
 
-def _checked_colors(g: Graph, c: Coloring) -> int:
-    """Colors used by c, or -1 when c is not a harmonious coloring of g."""
-    return c.k if is_harmonious(g, c).ok else -1
+# the paper's h table in its order as (row id, published value, graph reference);
+# the _BY_CONSTRUCTION rows count the checked closed form's colors, the rest are solved
+_PAPER_ROWS = (
+    *((f"planar33_8_{i}", 7, f"name:planar33_8_{i}") for i in range(1, 4)),
+    *((f"planar33_10_{i}", 7, f"name:planar33_10_{i}") for i in range(1, 7)),
+    *((f"planar33_12_{i}", 8, f"name:planar33_12_{i}") for i in range(1, 3)),
+    *((name, h, f"name:{name}")
+      for name, h in [("bidiakis", 8), ("franklin", 9), ("tietze", 9), ("yutsis", 9)]),
+    ("GP(5,1)", 7, "family:generalized_petersen:5:1"),
+    *((f"sunflower({n})", h, f"family:sunflower:{n}")
+      for n, h in [(3, 7), (4, 7), (5, 8), (6, 8), (7, 8), (8, 9), (9, 10)]),
+    ("sun(5)", 8, "family:sun:5"), ("sun(6)", 8, "family:sun:6"),
+    ("closed_sun(5)", 10, "family:closed_sun:5"), ("closed_sun(6)", 11, "family:closed_sun:6"),
+    ("lollipop(6,4)", 8, "family:lollipop:6:4"),
+)
+_BY_CONSTRUCTION = {"sunflower(7)", "sunflower(8)", "sunflower(9)"}
 
 
 def _reproduce_rows():
-    """Yield (graph_id, expected_h, solver_callable) triples."""
+    """Yield (graph_id, expected value, computation) triples."""
     cfg = SolverConfig(time_budget=REPRODUCE_ROW_BUDGET_S)
-
-    def solver_for(g):
-        return lambda: solve(g, cfg).h
-
-    for i in range(1, 4):
-        yield f"planar33_8_{i}", 7, solver_for(catalog.named(f"planar33_8_{i}"))
-    for i in range(1, 7):
-        yield f"planar33_10_{i}", 7, solver_for(catalog.named(f"planar33_10_{i}"))
-    for i in range(1, 3):
-        yield f"planar33_12_{i}", 8, solver_for(catalog.named(f"planar33_12_{i}"))
-    for name, exp in [("bidiakis", 8), ("franklin", 9), ("tietze", 9), ("yutsis", 9)]:
-        yield name, exp, solver_for(catalog.named(name))
-    yield "GP(5,1)", 7, solver_for(families.generalized_petersen(5, 1))
-    for n, exp in [(3, 7), (4, 7), (5, 8), (6, 8)]:
-        yield f"sunflower({n})", exp, solver_for(families.sunflower(n))
-    for n in (7, 8, 9):
-        yield f"sunflower({n})", n + 1, (
-            lambda n=n: _checked_colors(families.sunflower(n), constructive.color_sunflower(n))
-        )
-    for n in (5, 6):
-        yield f"sun({n})", n + 2 if n % 2 == 0 else n + 3, solver_for(families.sun(n))
-    for n, exp in [(5, 10), (6, 11)]:
-        yield f"closed_sun({n})", exp, solver_for(families.closed_sun(n))
-    yield "lollipop(6,4)", 8, solver_for(families.lollipop(6, 4))
+    for graph_id, expected, ref in _PAPER_ROWS:
+        if graph_id in _BY_CONSTRUCTION:
+            yield graph_id, expected, lambda ref=ref: _construct(ref, load_graph(ref)).k
+        else:
+            yield graph_id, expected, lambda ref=ref: solve(load_graph(ref), cfg).h
     for N in (4, 5, 6):
         tree = families.adversarial_tree(N)
-        yield (
-            f"greedy(adversarial_tree({N}))",
-            (N - 1) ** 2 + 1,
-            lambda t=tree: heuristics.greedy(t, list(range(t.n))).k,
-        )
-        yield (
-            f"good_coloring({N}) <= {2 * N - 2}",
-            1,
-            lambda t=tree, N=N: int(
-                0 < _checked_colors(t, heuristics.adversarial_good_coloring(N)) <= 2 * N - 2
-            ),
-        )
+        yield (f"greedy(adversarial_tree({N}))", (N - 1) ** 2 + 1,
+               lambda t=tree: heuristics.greedy(t, list(range(t.n))).k)
+        good = heuristics.adversarial_good_coloring(N)
+        yield (f"good_coloring({N}) <= {2 * N - 2}", 1,
+               lambda t=tree, c=good, N=N: int(is_harmonious(t, c).ok and c.k <= 2 * N - 2))
     for n, k, exp in [(5, 2, 1), (5, 3, 1), (4, 1, 1)]:
-        yield (
-            f"reduction(C_{n}, k={k})",
-            exp,
-            lambda n=n, k=k: int(reduction.verify_equivalence(families.cycle(n), k).equivalent),
-        )
+        yield f"reduction(C_{n}, k={k})", exp, lambda n=n, k=k: int(
+            reduction.verify_equivalence(load_graph(f"family:cycle:{n}"), k).equivalent)
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args, _g: None) -> int:
     rows: list[dict] = []
     marks: list[str] = []
     for graph_id, expected, run in _reproduce_rows():
@@ -343,8 +332,7 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if all(r["ok"] for r in rows) else EXIT_MISMATCH
 
 
-def cmd_export(args) -> int:
-    g = load_graph(args.graph)
+def cmd_export(args, g: Graph) -> int:
     c = load_coloring(args.coloring, g.n) if args.coloring else None
     _emit(args.output, export_dot(g, c))
     return EXIT_OK
@@ -354,65 +342,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="harmonium")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="emit a graph as an edge list, or list the catalog")
-    p.add_argument("graph", nargs="?", help="without one, list the catalog and families")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_gen)
+    def command(name, fn, about, **graph):
+        """Add a subcommand with its `graph` argument (the keywords go to it)."""
+        p = sub.add_parser(name, help=about)
+        p.add_argument("graph", **graph)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("solve", help="exact harmonious chromatic number")
-    p.add_argument("graph")
+    command("gen", cmd_gen, "emit a graph as an edge list, or list the catalog",
+            nargs="?", help="without one, list the catalog and families")
+
+    p = command("solve", cmd_solve, "exact harmonious chromatic number")
     p.add_argument("--k", type=int, help="decide a single color budget instead")
     p.add_argument("--budget-nodes", type=int)
     p.add_argument("--budget-secs", type=float)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("bound", help="print the bounds report as JSON")
-    p.add_argument("graph")
-    p.set_defaults(fn=cmd_bound)
-
-    p = sub.add_parser("check", help="verify a coloring file")
-    p.add_argument("graph")
-    p.add_argument("coloring")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("greedy", help="greedy coloring under a vertex order")
-    p.add_argument("graph")
+    command("bound", cmd_bound, "print the bounds report as JSON")
+    command("check", cmd_check, "verify a coloring file").add_argument("coloring")
+    p = command("greedy", cmd_greedy, "greedy coloring under a vertex order")
     p.add_argument("--order", default="index", help="'index', 'random' or a file of ids")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_greedy)
-
-    p = sub.add_parser("vc-color", help="vertex-cover-based coloring (exact cover up "
-                       f"to n = {heuristics.EXACT_SEARCH_MAX_N}, else 2-approximate)")
-    p.add_argument("graph")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_vc_color)
-
-    p = sub.add_parser("construct", help="closed-form family colorings")
-    p.add_argument("graph", help="family:<family>:<n>[:<m>]")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_construct)
-
-    p = sub.add_parser("reduce", help="build the independent-set gadget")
-    p.add_argument("graph")
+    command("vc-color", cmd_vc_color, "vertex-cover-based coloring (exact cover up "
+            f"to n = {heuristics.EXACT_SEARCH_MAX_N}, else 2-approximate)")
+    command("construct", cmd_construct, "closed-form family colorings",
+            help="family:<family>:<n>[:<m>]")
+    p = command("reduce", cmd_reduce, "build the independent-set gadget")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--gap", nargs=2, metavar=("C", "S"),
                    help="promise-gap densities for the ratio metadata")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_reduce)
-
     p = sub.add_parser("reproduce", help="recompute the published values")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_reproduce)
-
-    p = sub.add_parser("export", help="DOT export with optional coloring labels")
-    p.add_argument("graph")
+    p.set_defaults(fn=cmd_reproduce, graph=None)  # its table names its own graphs
+    p = command("export", cmd_export, "DOT export with optional coloring labels")
     p.add_argument("--coloring")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_export)
 
+    # the commands that make an artifact, after their own flags
+    for name in ("gen", "greedy", "vc-color", "construct", "reduce", "export"):
+        sub.choices[name].add_argument("-o", "--output")
     return parser
 
 
@@ -423,7 +390,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        if args.command == "construct":  # refused before anything is opened
+            _closed_form(args.graph)
+        return args.fn(args, None if args.graph is None else load_graph(args.graph))
+    except _CheckFailed as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_MISMATCH
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

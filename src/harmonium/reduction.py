@@ -48,9 +48,9 @@ def build(g: Graph, k: int) -> ReductionInstance:
 def forward_coloring(inst: ReductionInstance, is_set: set[int]) -> Coloring:
     """Threshold-many-color harmonious coloring from an independent set.
 
-    The first component is colored all-distinct (vertex id + 1); the
-    clique reuses the colors of the independent set, then takes fresh
-    colors for its remaining vertices.
+    The first component is colored all-distinct (vertex id + 1, so
+    1..n+3); the clique takes the sorted colors of the independent set,
+    then the fresh colors n+4..2n+3-k.
     """
     g = inst.source
     n = g.n
@@ -62,19 +62,8 @@ def forward_coloring(inst: ReductionInstance, is_set: set[int]) -> Coloring:
     for u, v in g.edges:
         if u in is_set and v in is_set:
             raise ValueError(f"set is not independent: edge ({u},{v}) inside it")
-    colors = [0] * inst.gadget.n
-    for v in range(n + 3):
-        colors[v] = v + 1
     reuse = sorted(u + 1 for u in is_set)
-    fresh = n + 3 + 1
-    slot = n + 3
-    for c in reuse:
-        colors[slot] = c
-        slot += 1
-    for slot in range(slot, 2 * n + 3):
-        colors[slot] = fresh
-        fresh += 1
-    return Coloring(tuple(colors))
+    return Coloring((*range(1, n + 4), *reuse, *range(n + 4, 2 * n + 4 - inst.k)))
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.node_budget is not None and self.node_budget <= 0:
             raise ValueError("node_budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
             raise ValueError("time_budget must be positive")
 
 

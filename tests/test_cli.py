@@ -248,6 +248,62 @@ def test_reduce_gap(capsys):
     assert abs(json.loads(err)["gap_ratio"] - 7 / 6) < 1e-12
 
 
+def test_reduce_gap_zero_denominator_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "reduce", "family:cycle:4", "--k", "1", "--gap", "1/2", "1/0")
+    assert code == EXIT_USAGE
+    assert err == "error: density '1/0' has a zero denominator\n"
+
+
+def test_nan_time_budget_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "solve", "name:petersen", "--budget-secs", "nan")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: time_budget must be positive\n"
+
+
+def test_main_resolves_each_graph_once(monkeypatch, capsys, tmp_path):
+    import harmonium.cli as cli
+
+    refs = []
+
+    def recording(ref):
+        refs.append(ref)
+        return load_graph(ref)
+
+    monkeypatch.setattr(cli, "load_graph", recording)
+    coloring = tmp_path / "p3.coloring"
+    coloring.write_text("0 1\n1 2\n2 3\n")
+    for argv in [("gen", "family:path:3"), ("solve", "family:path:3"), ("bound", "family:path:3"),
+                 ("check", "family:path:3", str(coloring)), ("greedy", "family:path:3"),
+                 ("vc-color", "family:path:3"), ("construct", "family:sun:5"),
+                 ("reduce", "family:path:3", "--k", "1"), ("export", "family:path:3")]:
+        refs.clear()
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert refs == [argv[1]]
+    refs.clear()
+    assert run(capsys, "gen")[0] == EXIT_OK and refs == []
+    # the reproduce table names every graph it solves or constructs
+    assert run(capsys, "reproduce")[0] == EXIT_OK
+    table = [ref for _, _, ref in cli._PAPER_ROWS]
+    assert len(table) == 28
+    assert refs == table + ["family:cycle:5", "family:cycle:5", "family:cycle:4"]
+
+
+def test_a_rejected_closed_form_is_a_mismatch(monkeypatch, capsys):
+    # the one checked path serves construct and reproduce's sunflower(7..9) rows
+    import harmonium.cli as cli
+
+    monkeypatch.setitem(cli._CONSTRUCTIONS, "sunflower", lambda n, m: Coloring((1,) * (2 * n + 1)))
+    code, out, err = run(capsys, "construct", "family:sunflower:8")
+    assert code == EXIT_MISMATCH and out == ""
+    assert err.startswith("construction failed verification: ")
+    code, out, _ = run(capsys, "reproduce")
+    assert code == EXIT_MISMATCH
+    marks = {line.split()[0]: line.split()[-1] for line in out.splitlines()}
+    assert [k for k, mark in marks.items() if mark != "ok"] == [
+        "sunflower(7)", "sunflower(8)", "sunflower(9)"]
+    assert {marks[k] for k in ("sunflower(7)", "sunflower(8)", "sunflower(9)")} == {"ERROR"}
+
+
 def test_reproduce_full_table(capsys):
     code, out, _ = run(capsys, "reproduce", "--json")
     assert code == EXIT_OK
@@ -342,3 +398,136 @@ def test_stdin_graph(monkeypatch, capsys):
     code, out, _ = run(capsys, "solve", "-", "--json")
     assert code == EXIT_OK
     assert json.loads(out)["h"] == 5
+
+
+# the files test_every_command_output_is_pinned writes first, then its argv
+# lists; TMP stands for the test's temporary directory, TMP/out for the artifact
+_PINNED_FILES = {
+    "p3.edges": "3 2\n0 1\n1 2\n",
+    "bad.edges": "3 1\n0\n",
+    "good.coloring": "0 1\n1 2\n2 3\n",
+    "improper.coloring": "0 1\n1 1\n2 2\n",
+    "repeated.coloring": "0 1\n1 2\n2 1\n3 2\n",
+    "short.coloring": "0 1\n",
+    "twice.coloring": "0 1\n1 2\n2 3\n0 2\n",
+    "one_token.coloring": "0\n1 2\n2 3\n",
+    "three_tokens.coloring": "0 1 2\n1 2\n2 3\n",
+    "word.coloring": "0 red\n1 2\n2 3\n",
+    "order.txt": "3 1 0 2\n",
+}
+_PINNED_CORPUS = [
+    (),
+    ("bogus",),
+    ("--version",),
+    ("-h",),
+    *((command, "-h") for command in ("gen", "solve", "bound", "check", "greedy", "vc-color",
+                                       "construct", "reduce", "reproduce", "export")),
+    ("gen",),
+    ("gen", "family:cycle:5"),
+    ("gen", "name:petersen", "-o", "TMP/out"),
+    ("gen", "family:generalized_petersen:5:2"),
+    ("gen", "family:lollipop:4:3"),
+    ("gen", "TMP/p3.edges"),
+    ("gen", "name:nope"),
+    ("gen", "family:wheel"),
+    ("gen", "family:lollipop:6"),
+    ("gen", "family:wheel:5:2"),
+    ("gen", "family:nosuch:5"),
+    ("gen", "family:cycle:x"),
+    ("gen", "a", "b"),
+    ("solve",),
+    ("solve", "family:cycle:6", "--json"),
+    ("solve", "family:cycle:6"),
+    ("solve", "TMP/p3.edges", "--json"),
+    ("solve", "name:wagner", "--k", "7", "--json"),
+    ("solve", "name:wagner", "--k", "8"),
+    ("solve", "name:franklin", "--k", "8", "--budget-nodes", "3"),
+    ("solve", "name:franklin", "--budget-nodes", "3"),
+    ("solve", "name:petersen", "--budget-nodes", "0"),
+    ("solve", "name:petersen", "--budget-secs", "-1"),
+    ("solve", "family:cycle:7", "--budget-secs", "30", "--json"),
+    ("solve", "name:petersen", "--parallel"),
+    ("solve", "name:petersen", "--k", "x"),
+    ("solve", "/no/such/file"),
+    ("solve", "TMP/bad.edges"),
+    ("bound", "name:petersen"),
+    ("bound", "family:lollipop:6:4"),
+    ("bound", "TMP/p3.edges"),
+    ("bound", "-"),
+    ("bound",),
+    ("check", "family:path:3", "TMP/good.coloring"),
+    ("check", "TMP/p3.edges", "TMP/improper.coloring"),
+    ("check", "family:path:4", "TMP/repeated.coloring"),
+    ("check", "family:path:3", "TMP/short.coloring"),
+    ("check", "family:path:3", "TMP/twice.coloring"),
+    ("check", "family:path:3", "TMP/one_token.coloring"),
+    ("check", "family:path:3", "TMP/three_tokens.coloring"),
+    ("check", "family:path:3", "TMP/word.coloring"),
+    ("check", "family:path:3", "TMP/missing.coloring"),
+    ("check", "family:path:3"),
+    ("greedy", "name:petersen"),
+    ("greedy", "name:petersen", "--order", "random", "--seed", "7", "-o", "TMP/out"),
+    ("greedy", "family:path:4", "--order", "TMP/order.txt"),
+    ("greedy", "name:petersen", "--seed", "x"),
+    ("greedy",),
+    ("vc-color", "family:cycle:6"),
+    ("vc-color", "family:cycle:30", "-o", "TMP/out"),
+    ("vc-color", "family:cycle:6", "--exact"),
+    ("construct", "family:sunflower:8"),
+    ("construct", "family:sun:5"),
+    ("construct", "family:closed_sun:7", "-o", "TMP/out"),
+    ("construct", "family:lollipop:6:4"),
+    ("construct", "family:lollipop:6"),
+    ("construct", "family:sunflower:8:2"),
+    ("construct", "family:sunflower:2"),
+    ("construct", "name:petersen"),
+    ("construct", "family:wheel:5"),
+    ("construct", "family:wheel:5:2"),
+    ("construct", "family:nosuch:5"),
+    ("construct", "family:sun:x"),
+    ("construct", "/no/such/file"),
+    ("construct",),
+    ("reduce", "family:cycle:5", "--k", "2", "--verify", "-o", "TMP/out"),
+    ("reduce", "family:cycle:7", "--k", "2", "--verify", "-o", "TMP/out"),
+    ("reduce", "family:path:3", "--k", "2"),
+    ("reduce", "family:cycle:4", "--k", "1", "--gap", "1/2", "1/4"),
+    ("reduce", "family:cycle:4", "--k", "1", "--gap", "1/4", "1/2"),
+    ("reduce", "family:cycle:4", "--k", "1", "--gap", "x", "1/4"),
+    ("reduce", "family:cycle:4", "--k", "9"),
+    ("reduce", "family:cycle:4"),
+    ("reproduce", "--json"),
+    ("reproduce",),
+    ("reproduce", "--scope", "all"),
+    ("export", "name:house"),
+    ("export", "family:path:3", "--coloring", "TMP/good.coloring", "-o", "TMP/out"),
+    ("export", "family:path:4", "--coloring", "TMP/good.coloring"),
+    ("export",),
+]
+
+
+def test_every_command_output_is_pinned(tmp_path, monkeypatch, capsys):
+    # recorded before the commands shared one graph resolver and one
+    # argument helper: any change in what a command prints, writes or
+    # returns changes the digest (argparse wraps usage lines at COLUMNS)
+    import hashlib
+    import re
+
+    import io
+
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr("sys.stdin", io.StringIO(_PINNED_FILES["p3.edges"]))
+    for name, text in _PINNED_FILES.items():
+        (tmp_path / name).write_text(text)
+    out_file = tmp_path / "out"
+    digest = hashlib.sha256()
+    for argv in _PINNED_CORPUS:
+        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        artifact = out_file.read_text() if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        record = json.dumps([argv, code, out, err, artifact]).replace(str(tmp_path), "TMP")
+        record = re.sub(r'(elapsed\\?"?[=:] ?)[0-9.e-]+', r"\1X", record)
+        record = re.sub(r" +[0-9]+\.[0-9]{2}s  ", " Xs  ", record)  # reproduce's table
+        digest.update(record.encode())
+    assert digest.hexdigest() == (
+        "b463180ca129182ec5c93ee343122c27bdbd7af6d50dac15675708ec320fb0c2")

@@ -56,6 +56,20 @@ def test_forward_coloring_from_independent_set():
     assert c.k == inst.threshold
 
 
+def test_forward_coloring_meets_the_threshold_for_every_independent_set():
+    from itertools import combinations
+
+    for g in [cycle(n) for n in range(3, 7)] + [path(n) for n in range(2, 7)]:
+        for k in range(1, g.n + 1):
+            inst = build(g, k)
+            for s in combinations(range(g.n), k):
+                if any(u in s and v in s for u, v in g.edges):
+                    continue
+                c = forward_coloring(inst, set(s))
+                assert is_harmonious(inst.gadget, c).ok
+                assert c.k == inst.threshold
+
+
 def test_forward_coloring_validates_input():
     g = cycle(4)
     inst = build(g, 2)

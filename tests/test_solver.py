@@ -210,6 +210,8 @@ def test_invalid_config():
         SolverConfig(node_budget=0)
     with pytest.raises(ValueError):
         SolverConfig(time_budget=-1)
+    with pytest.raises(ValueError):  # a NaN deadline is never reached
+        SolverConfig(time_budget=float("nan"))
     with pytest.raises(ValueError):
         exists_k(cycle(3), 0)
 
