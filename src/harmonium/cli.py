@@ -55,8 +55,12 @@ def _family_spec(spec: str) -> tuple[str, int, int | None]:
     parts = spec.split(":")
     if parts[0] != "family" or not 3 <= len(parts) <= 4:
         raise ValueError(f"expected family:<family>:<n>[:<m>], got {spec!r}")
-    m = int(parts[3]) if len(parts) == 4 else None
-    return parts[1], int(parts[2]), m
+    try:
+        n, *m = map(int, parts[2:])
+    except ValueError:
+        raise ValueError(f"expected family:<family>:<n>[:<m>] with integer n and m, "
+                         f"got {spec!r}") from None
+    return parts[1], n, m[0] if m else None
 
 
 def load_graph(spec: str) -> Graph:

@@ -73,10 +73,10 @@ def color_sun(n: int) -> Coloring:
 
 
 def color_closed_sun(n: int) -> Coloring:
-    """Closed sun: all-distinct for n <= 5 (diameter 2), otherwise
-    clique colors 1..n plus an optimal cycle coloring shifted by n."""
-    if n < 3:
-        raise ValueError(f"closed sun needs n >= 3, got {n}")
+    """Closed sun for 3 <= n <= 16: all-distinct for n <= 5 (diameter 2),
+    otherwise clique colors 1..n plus an optimal cycle coloring shifted by n."""
+    if not 3 <= n <= _H_CYCLE_MAX:
+        raise ValueError(f"closed sun needs 3 <= n <= {_H_CYCLE_MAX}, got {n}")
     if n <= 5:
         return Coloring(tuple(range(1, 2 * n + 1)))
     cyc = cycle_coloring(n)

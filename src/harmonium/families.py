@@ -27,9 +27,14 @@ def cycle(n: int) -> Graph:
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def _clique(n: int) -> list[tuple[int, int]]:
+    """K_n on ids 0..n-1."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
 def complete(n: int) -> Graph:
     _require(n >= 1, f"complete needs n >= 1, got {n}")
-    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return from_edge_list(n, _clique(n))
 
 
 def star(n: int) -> Graph:
@@ -38,14 +43,15 @@ def star(n: int) -> Graph:
     return from_edge_list(n + 1, [(0, i) for i in range(1, n + 1)])
 
 
-def _rim(n: int) -> list[tuple[int, int]]:
-    return [(1 + i, 1 + (i + 1) % n) for i in range(n)]
+def _wheel(n: int, first: int = 1) -> list[tuple[int, int]]:
+    """Hub 0 joined to the cycle first..first+n-1."""
+    return [e for i in range(n) for e in ((first + i, first + (i + 1) % n), (0, first + i))]
 
 
 def wheel(n: int) -> Graph:
     """Hub 0 joined to cycle 1..n."""
     _require(n >= 3, f"wheel needs n >= 3, got {n}")
-    return from_edge_list(n + 1, _rim(n) + [(0, i) for i in range(1, n + 1)])
+    return from_edge_list(n + 1, _wheel(n))
 
 
 def gear(n: int) -> Graph:
@@ -61,31 +67,27 @@ def gear(n: int) -> Graph:
 def helm(n: int) -> Graph:
     """Wheel plus a pendant n+i attached to rim vertex i."""
     _require(n >= 3, f"helm needs n >= 3, got {n}")
-    edges = _rim(n) + [(0, i) for i in range(1, n + 1)]
-    edges += [(i, n + i) for i in range(1, n + 1)]
-    return from_edge_list(2 * n + 1, edges)
+    return from_edge_list(2 * n + 1, _wheel(n) + [(i, n + i) for i in range(1, n + 1)])
 
 
 def flower(n: int) -> Graph:
     """Helm with every pendant also joined to the hub."""
-    g = helm(n)
-    extra = [(0, n + i) for i in range(1, n + 1)]
-    return from_edge_list(g.n, list(g.edges) + extra)
+    _require(n >= 3, f"flower needs n >= 3, got {n}")
+    pendants = [e for i in range(1, n + 1) for e in ((i, n + i), (0, n + i))]
+    return from_edge_list(2 * n + 1, _wheel(n) + pendants)
 
 
 def double_wheel(n: int) -> Graph:
     """Two n-cycles (ids 1..n and n+1..2n) sharing hub 0."""
     _require(n >= 3, f"double_wheel needs n >= 3, got {n}")
-    edges = _rim(n) + [(n + 1 + i, n + 1 + (i + 1) % n) for i in range(n)]
-    edges += [(0, i) for i in range(1, 2 * n + 1)]
-    return from_edge_list(2 * n + 1, edges)
+    return from_edge_list(2 * n + 1, _wheel(n) + _wheel(n, n + 1))
 
 
 def g_nn(n: int) -> Graph:
     """Double wheel with the matching v_i -- u_i added."""
-    g = double_wheel(n)
-    extra = [(i, n + i) for i in range(1, n + 1)]
-    return from_edge_list(g.n, list(g.edges) + extra)
+    _require(n >= 3, f"g_nn needs n >= 3, got {n}")
+    matching = [(i, n + i) for i in range(1, n + 1)]
+    return from_edge_list(2 * n + 1, _wheel(n) + _wheel(n, n + 1) + matching)
 
 
 def triangular_book(n: int) -> Graph:
@@ -114,27 +116,24 @@ def jewel(n: int) -> Graph:
 def sunflower(n: int) -> Graph:
     """Wheel 0..n plus petal u_i = n+i joined to rim vertices i and i+1."""
     _require(n >= 3, f"sunflower needs n >= 3, got {n}")
-    g = wheel(n)
-    extra = []
-    for i in range(1, n + 1):
-        extra += [(n + i, i), (n + i, 1 + i % n)]
-    return from_edge_list(2 * n + 1, list(g.edges) + extra)
+    petals = [e for i in range(1, n + 1) for e in ((n + i, i), (n + i, 1 + i % n))]
+    return from_edge_list(2 * n + 1, _wheel(n) + petals)
+
+
+def _sun(n: int) -> list[tuple[int, int]]:
+    return _clique(n) + [e for i in range(n) for e in ((n + i, i), (n + i, (i + 1) % n))]
 
 
 def sun(n: int) -> Graph:
     """K_n (ids 0..n-1) with u_i = n+i-1 joined to clique vertices i-1, i mod n."""
     _require(n >= 3, f"sun needs n >= 3, got {n}")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for i in range(n):
-        edges += [(n + i, i), (n + i, (i + 1) % n)]
-    return from_edge_list(2 * n, edges)
+    return from_edge_list(2 * n, _sun(n))
 
 
 def closed_sun(n: int) -> Graph:
     """Sun with the outer vertices joined into a cycle."""
-    g = sun(n)
-    extra = [(n + i, n + (i + 1) % n) for i in range(n)]
-    return from_edge_list(g.n, list(g.edges) + extra)
+    _require(n >= 3, f"closed_sun needs n >= 3, got {n}")
+    return from_edge_list(2 * n, _sun(n) + [(n + i, n + (i + 1) % n) for i in range(n)])
 
 
 def lollipop(n: int, m: int) -> Graph:
@@ -145,7 +144,7 @@ def lollipop(n: int, m: int) -> Graph:
     """
     _require(n >= 3, f"lollipop needs n >= 3, got {n}")
     _require(m >= 2, f"lollipop needs m >= 2, got {m}")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = _clique(n)
     prev = 0
     for j in range(n, n + m - 1):
         edges.append((prev, j))

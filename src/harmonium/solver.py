@@ -13,10 +13,12 @@ vertices 0..v-1 colored, the search below v reads only the largest color
 so far, the color pairs used so far and the colors of the vertices before
 v that have a neighbor at or after v. Two entries to v that agree on these
 have identical subtrees, and a subtree holding a witness ends the search,
-so a state seen again at v failed before: its stored node count is added
-instead of walking it again. The tables are kept only where at most two
+so a state seen again at v failed before: at entry it counts as its
+stored node count instead of being walked again, and goes through the same
+budget check as a walked node. The tables are kept only where at most two
 earlier vertices touch the rest (cycles, paths, lollipop tails). The
-nodes, witnesses and budget verdicts are those of the plain walk.
+nodes, witnesses and budget verdicts are those of the plain walk. The
+empty graph's tree is its one leaf: one node, the empty witness.
 An "infeasible" answer is an exhaustive claim; running out of budget is
 reported as its own outcome, never conflated with infeasibility.
 
@@ -64,11 +66,7 @@ class SearchOutcome:
     status: str  # "witness" | INFEASIBLE | BUDGET_EXHAUSTED
     witness: Coloring | None
     nodes_explored: int  # nodes of the search tree
-    nodes_walked: int | None = None  # nodes the loop entered; None: all of them
-
-    def __post_init__(self):
-        if self.nodes_walked is None:
-            object.__setattr__(self, "nodes_walked", self.nodes_explored)
+    nodes_walked: int  # nodes the loop entered
 
     @property
     def feasible(self) -> bool:
@@ -103,9 +101,11 @@ def _search(g: Graph, k: int, node_budget: int | None,
     candidates at v are colors 1..min(maxc+1, k) minus the back neighbors'
     colors and their partners, or none if two back neighbors share a color;
     they are tried lowest first. Every vertex of the search tree is one node,
-    the v == n leaf included, and nodes_explored counts them whether the loop
-    walked them or reused a failed subtree's stored count; nodes_walked
-    counts only the nodes the loop entered.
+    the v == n leaf included (the whole tree when n == 0). Entry to v is
+    one step of nodes_explored: 1 for a walked node, the stored size for a
+    reused failed subtree, and each step passes one budget and deadline
+    check; a node stop reports budget + 1. nodes_walked counts only the
+    nodes the loop entered.
 
     With 0..v-1 colored, the search below v reads only maxc (through
     allowed), used[1..maxc] (higher colors have no pairs yet) and the colors
@@ -124,15 +124,16 @@ def _search(g: Graph, k: int, node_budget: int | None,
             front[w].append(u)
     # tables[v]: the exact state at entry to v, packed into one int, -> the
     # size of its failed subtree; None where the front is too wide to repeat,
-    # and at v = n - 1, whose subtree is one node or holds the witness
-    tables = [{} if len(f) <= _FRONT_CAP else None for f in front[:-1]] + [None]
+    # at v = n - 1 (one node or the witness below) and at the leaf v = n
+    tables = [{} if v < n - 1 and len(front[v]) <= _FRONT_CAP else None
+              for v in range(n + 1)]
     cbits, pbits = k.bit_length(), k + 1
     # allowed[maxc]: a brand-new color must be maxc + 1 (symmetry breaking)
     allowed = [(2 << min(maxc + 1, k)) - 2 for maxc in range(k + 1)]
     used = [0] * (k + 1)
     color = [0] * n
     # the stack, per depth v: colors not tried yet, back colors' mask, maxc,
-    # and for a tabled depth the entry state's key and node count
+    # and for a tabled depth the entry state's key and the count before entry
     untried = [0] * n
     seen = [0] * n
     tops = [0] * n
@@ -144,16 +145,8 @@ def _search(g: Graph, k: int, node_budget: int | None,
     nodes = reused = 0
     v = maxc = 0
     while True:
-        nodes += 1
-        if nodes >= check_at:
-            if nodes >= stop or time.monotonic() > deadline:
-                return SearchOutcome(BUDGET_EXHAUSTED, None, nodes, nodes - reused)
-            tick = nodes + _TICK
-            check_at = min(stop, tick)
-        if v == n:
-            return SearchOutcome("witness", Coloring(tuple(color)), nodes, nodes - reused)
+        step = 1
         table = tables[v]
-        sub = 0
         if table is not None:
             # maxc, then the front colors, then used[1..maxc]: the front's
             # length is fixed at v and a larger maxc makes a longer key, so
@@ -166,15 +159,17 @@ def _search(g: Graph, k: int, node_budget: int | None,
                 key = key << pbits | pairs
             keys[v] = key
             starts[v] = nodes
-            sub = table.get(key, 0)
-        if sub:
-            nodes += sub - 1
-            reused += sub - 1
-            if nodes >= check_at:
-                if nodes >= stop:
-                    return SearchOutcome(BUDGET_EXHAUSTED, None, stop, nodes - reused)
-                tick = nodes + _TICK
-                check_at = min(stop, tick)
+            step = table.get(key, 1)
+            reused += step - 1
+        nodes += step
+        if nodes >= check_at:
+            if nodes >= stop or time.monotonic() > deadline:
+                return SearchOutcome(BUDGET_EXHAUSTED, None, min(nodes, stop), nodes - reused)
+            tick = nodes + _TICK
+            check_at = min(stop, tick)
+        if v == n:
+            return SearchOutcome("witness", Coloring(tuple(color)), nodes, nodes - reused)
+        if step > 1:
             cands = 0
         else:
             mask = forbid = 0
@@ -193,8 +188,8 @@ def _search(g: Graph, k: int, node_budget: int | None,
                 tops[v] = maxc
         while not cands:
             # v's subtree failed; one-node failures are cheaper to redo
-            if nodes > starts[v]:
-                tables[v][keys[v]] = nodes - starts[v] + 1
+            if nodes > starts[v] + 1:
+                tables[v][keys[v]] = nodes - starts[v]
             v -= 1
             if v < 0:
                 return SearchOutcome(INFEASIBLE, None, nodes, nodes - reused)
@@ -229,12 +224,10 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
     if k < min(g.n, 1):
         raise ValueError(f"color budget must be >= 1, got {k}")
     cfg = cfg or SolverConfig()
-    if g.n == 0:
-        return SearchOutcome("witness", Coloring(()), 0)
     # Each edge needs its own color pair, and k colors have k(k-1)/2 pairs.
     # The check counts as the one root node the search would have visited.
     if g.m > k * (k - 1) // 2:
-        return SearchOutcome(INFEASIBLE, None, 1)
+        return SearchOutcome(INFEASIBLE, None, 1, 1)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
     out = _search(g, k, cfg.node_budget, deadline)
     if out.feasible:

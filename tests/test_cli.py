@@ -144,6 +144,9 @@ def test_load_coloring_partial_rejected(tmp_path):
     f.write_text("0 1\n")
     with pytest.raises(ValueError):
         load_coloring(str(f), 2)
+    f.write_text("0 1\n2 2\n")
+    with pytest.raises(ValueError, match=r"vertex 2 outside 0\.\.1"):
+        load_coloring(str(f), 2)
 
 
 @pytest.mark.parametrize("line", ["0", "0 1 2", "0 red"])
@@ -381,6 +384,10 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run(capsys, "bogus-subcommand")
     assert code == EXIT_USAGE
+    code, _, err = run(capsys, "gen", "family:cycle:x")
+    assert code == EXIT_USAGE
+    assert err == ("error: expected family:<family>:<n>[:<m>] with integer n and m, "
+                   "got 'family:cycle:x'\n")
 
 
 def test_unknown_catalog_name_is_a_plain_usage_error(capsys):
@@ -507,8 +514,10 @@ _PINNED_CORPUS = [
 
 def test_every_command_output_is_pinned(tmp_path, monkeypatch, capsys):
     # recorded before the commands shared one graph resolver and one
-    # argument helper: any change in what a command prints, writes or
-    # returns changes the digest (argparse wraps usage lines at COLUMNS)
+    # argument helper, then again when a non-integer family parameter
+    # (family:cycle:x, family:sun:x) got its own message: any change in what
+    # a command prints, writes or returns changes the digest (argparse wraps
+    # usage lines at COLUMNS)
     import hashlib
     import re
 
@@ -530,4 +539,4 @@ def test_every_command_output_is_pinned(tmp_path, monkeypatch, capsys):
         record = re.sub(r" +[0-9]+\.[0-9]{2}s  ", " Xs  ", record)  # reproduce's table
         digest.update(record.encode())
     assert digest.hexdigest() == (
-        "b463180ca129182ec5c93ee343122c27bdbd7af6d50dac15675708ec320fb0c2")
+        "a956f7caddf18fddc551119984a9c193552265172c29fcd32dab03d6d8e282c8")

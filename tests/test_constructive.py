@@ -96,6 +96,8 @@ def test_construction_guards():
         color_sun(2)
     with pytest.raises(ValueError):
         color_closed_sun(2)
+    with pytest.raises(ValueError, match="closed sun needs 3 <= n <= 16, got 17"):
+        color_closed_sun(17)
 
 
 def test_sun_matches_solver_small():

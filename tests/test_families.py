@@ -80,6 +80,10 @@ def test_generate_dispatch_and_errors():
         fam.lollipop(2, 4)
     with pytest.raises(ValueError):
         fam.lollipop(4, 1)
+    for family in fam.FAMILIES:
+        m = 2 if family in ("lollipop", "generalized_petersen") else None
+        with pytest.raises(ValueError, match=f"^{family} needs "):
+            generate(family, 0, m)
 
 
 def test_generate_deterministic():

@@ -43,6 +43,8 @@ def test_self_loop_rejected():
 def test_out_of_range_rejected():
     with pytest.raises(ValueError):
         from_edge_list(3, [(0, 3)])
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        from_edge_list(-1, [])
 
 
 def test_petersen_shape():
@@ -90,6 +92,8 @@ def test_closed_n2_petersen_everything():
 def test_closed_n2_c8():
     g = cycle(8)
     assert closed_n2(g, 0) == {6, 7, 0, 1, 2}
+    with pytest.raises(ValueError, match=r"vertex 8 outside 0\.\.7"):
+        closed_n2(g, 8)
 
 
 def test_closed_n2_contains_closed_neighborhood(rng):
@@ -161,6 +165,8 @@ def test_parse_comments_and_errors():
         parse_edge_list("3 2\n0 1\n")  # wrong edge count
     with pytest.raises(ValueError):
         parse_edge_list("")
+    with pytest.raises(ValueError, match="2 declared, 1 distinct"):
+        parse_edge_list("3 2\n0 1\n1 0\n")
     # a line that is not exactly two integers is named in the error
     for text, line in [("3 1\n0\n", "'u v', got '0'"), ("3 1\n0 1 2\n", "'u v', got '0 1 2'"),
                        ("3 1\n0 x\n", "'u v', got '0 x'"), ("3\n", "'n m', got '3'")]:

@@ -157,6 +157,8 @@ def test_exact_cover_guard():
         min_vertex_cover(cycle(21))
     with pytest.raises(ValueError):
         min_vertex_cover(cycle(5), "bogus")
+    with pytest.raises(ValueError, match="exact independent set guarded"):
+        max_independent_set(cycle(21))
     # approx has no size guard
     assert is_vertex_cover(cycle(30), min_vertex_cover(cycle(30), "approx").cover)
 

@@ -147,18 +147,19 @@ def test_node_budget_bounds_the_whole_solve():
 
 
 # The search tree of the index-order, lowest-color-first search: per-k
-# (status, nodes) from the lower bound up to h, and the witness at h.
+# (status, nodes, nodes walked) from the lower bound up to h, and the
+# witness at h.
 SEARCH_TREES = {
-    "C14": (cycle(14), {6: (INFEASIBLE, 4040), 7: ("witness", 16)},
+    "C14": (cycle(14), {6: (INFEASIBLE, 4040, 1148), 7: ("witness", 16, 16)},
             (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 7)),
-    "C20": (cycle(20), {7: (INFEASIBLE, 1_888_430), 8: ("witness", 4_770)},
+    "C20": (cycle(20), {7: (INFEASIBLE, 1_888_430, 45_874), 8: ("witness", 4_770, 2_930)},
             (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 5, 3, 6, 4, 7, 5, 8)),
-    "GP7-2": (generalized_petersen(7, 2), {7: ("witness", 422)},
+    "GP7-2": (generalized_petersen(7, 2), {7: ("witness", 422, 422)},
               (1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7, 1, 2, 3)),
-    "GP8-3": (generalized_petersen(8, 3), {8: ("witness", 153)},
+    "GP8-3": (generalized_petersen(8, 3), {8: ("witness", 153, 153)},
               (1, 2, 3, 1, 4, 2, 5, 6, 7, 7, 4, 8, 5, 6, 3, 8)),
     "yutsis": (named("yutsis"),
-               {7: (INFEASIBLE, 93), 8: (INFEASIBLE, 146), 9: ("witness", 54)},
+               {7: (INFEASIBLE, 93, 93), 8: (INFEASIBLE, 146, 146), 9: ("witness", 54, 54)},
                (1, 2, 3, 4, 1, 5, 2, 4, 6, 7, 8, 9)),
 }
 
@@ -166,9 +167,9 @@ SEARCH_TREES = {
 @pytest.mark.parametrize("name", sorted(SEARCH_TREES))
 def test_search_tree_is_unchanged(name):
     g, per_k, witness = SEARCH_TREES[name]
-    for k, (status, nodes) in per_k.items():
+    for k, (status, nodes, walked) in per_k.items():
         out = exists_k(g, k)
-        assert (out.status, out.nodes_explored) == (status, nodes), k
+        assert (out.status, out.nodes_explored, out.nodes_walked) == (status, nodes, walked), k
         # a budget of exactly the tree's size finishes; one node less stops
         assert exists_k(g, k, SolverConfig(node_budget=nodes)).status == status
         short = exists_k(g, k, SolverConfig(node_budget=nodes - 1))
@@ -178,7 +179,8 @@ def test_search_tree_is_unchanged(name):
             assert (out.status, out.nodes_explored) == (BUDGET_EXHAUSTED, budget + 1)
     res = solve(g)
     assert res.h == max(per_k) and res.witness.colors == witness
-    assert res.nodes_explored == sum(nodes for _, nodes in per_k.values())
+    assert res.nodes_explored == sum(nodes for _, nodes, _ in per_k.values())
+    assert res.nodes_walked == sum(walked for _, _, walked in per_k.values())
 
 
 def test_deep_search_needs_no_recursion():
@@ -203,6 +205,19 @@ def test_time_budget_stops_the_search():
     assert (out.status, out.witness) == (BUDGET_EXHAUSTED, None)
     with pytest.raises(BudgetExceeded):
         solve(g, SolverConfig(time_budget=0.01))
+
+
+def test_an_unspent_time_budget_changes_nothing():
+    # both searches pass the deadline check many times (a check every _TICK
+    # nodes), C20's also after reused subtrees
+    import harmonium.solver as s
+
+    for g, k, tree in ((cycle(20), 7, (INFEASIBLE, 1_888_430, 45_874)),
+                       (generalized_petersen(9, 3), 8, (INFEASIBLE, 43_228, 43_228))):
+        assert tree[1] > s._TICK
+        for cfg in (None, SolverConfig(time_budget=60)):
+            out = exists_k(g, k, cfg)
+            assert (out.status, out.nodes_explored, out.nodes_walked) == tree
 
 
 def test_invalid_config():
@@ -247,7 +262,7 @@ from harmonium.families import cycle
 from harmonium.verify import Coloring
 
 assert False, "-O is not in effect"
-s._search = lambda g, k, budget, deadline: s.SearchOutcome("witness", Coloring((1,) * g.n), 0)
+s._search = lambda g, k, budget, deadline: s.SearchOutcome("witness", Coloring((1,) * g.n), 0, 0)
 try:
     s.solve(cycle(4))
 except RuntimeError as exc:
@@ -266,7 +281,7 @@ def test_exists_k_checks_the_witness(monkeypatch):
     from harmonium.verify import Coloring
 
     def bad_search(g, k, budget, deadline):
-        return s.SearchOutcome("witness", Coloring((1,) * g.n), 0)
+        return s.SearchOutcome("witness", Coloring((1,) * g.n), 0, 0)
 
     monkeypatch.setattr(s, "_search", bad_search)
     with pytest.raises(RuntimeError, match="invalid witness at k=5"):
@@ -278,3 +293,6 @@ def test_edgeless_graph():
     res = solve(g)
     assert res.h == 1  # no edges: one color suffices
     assert lower_bounds(g).combined == 1
+    out = exists_k(from_edge_list(0, []), 0)  # the tree is its one leaf
+    assert (out.status, out.witness.colors, out.nodes_explored, out.nodes_walked) == (
+        "witness", (), 1, 1)

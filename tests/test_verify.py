@@ -46,6 +46,7 @@ def test_not_proper_reported_first():
     g = path(3)
     v = is_harmonious(g, Coloring((1, 1, 2)))
     assert v.kind == "not_proper" and v.edge == (0, 1)
+    assert bool(v) is False and bool(is_harmonious(g, Coloring((1, 2, 3)))) is True
 
 
 def test_partial_coloring_rejected():
