@@ -11,7 +11,7 @@ from .graph import (
     parse_edge_list,
     stats,
 )
-from .verify import BoundsReport, Coloring, Verdict, edge_pair_table, is_harmonious, lower_bounds
+from .verify import BoundsReport, Coloring, Verdict, is_harmonious, lower_bounds
 from .solver import (
     BUDGET_EXHAUSTED,
     INFEASIBLE,

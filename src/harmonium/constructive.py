@@ -73,12 +73,12 @@ def color_sun(n: int) -> Coloring:
 
 
 def color_closed_sun(n: int) -> Coloring:
-    """Closed sun for 3 <= n <= 16: all-distinct for n <= 5 (diameter 2),
-    otherwise clique colors 1..n plus an optimal cycle coloring shifted by n."""
+    """Closed sun for 3 <= n <= 16: clique colors 1..n plus an optimal
+    cycle coloring shifted by n, so n + h(C_n) colors. For n <= 5 the cycle
+    coloring is 1..n and this is the all-distinct coloring the diameter-2
+    graph needs."""
     if not 3 <= n <= _H_CYCLE_MAX:
         raise ValueError(f"closed sun needs 3 <= n <= {_H_CYCLE_MAX}, got {n}")
-    if n <= 5:
-        return Coloring(tuple(range(1, 2 * n + 1)))
     cyc = cycle_coloring(n)
     colors = list(range(1, n + 1)) + [n + c for c in cyc.colors]
     return Coloring(tuple(colors))
@@ -134,9 +134,9 @@ class LollipopPlan:
     trail: tuple[int, ...]  # m vertices of K_r, starts at 1
 
 
-def _eulerian_trail(r: int, n: int, removed: set[tuple[int, int]], start: int) -> list[int]:
+def _eulerian_trail(r: int, n: int, removed: set[tuple[int, int]]) -> list[int]:
     """Hierholzer's algorithm on K_r minus clique-internal and removed
-    edges; returns the full trail beginning at `start`."""
+    edges; returns the full trail beginning at vertex 1."""
     adj: dict[int, set[int]] = {v: set() for v in range(1, r + 1)}
     m_edges = 0
     for u in range(1, r + 1):
@@ -148,7 +148,7 @@ def _eulerian_trail(r: int, n: int, removed: set[tuple[int, int]], start: int) -
             adj[u].add(v)
             adj[v].add(u)
             m_edges += 1
-    stack = [start]
+    stack = [1]
     out: list[int] = []
     while stack:
         v = stack[-1]
@@ -160,8 +160,8 @@ def _eulerian_trail(r: int, n: int, removed: set[tuple[int, int]], start: int) -
         else:
             out.append(stack.pop())
     trail = out[::-1]
-    if len(trail) != m_edges + 1 or trail[0] != start:
-        raise AssertionError("residual graph is not Eulerian-traversable from start")
+    if len(trail) != m_edges + 1 or trail[0] != 1:
+        raise AssertionError("residual graph is not Eulerian-traversable from vertex 1")
     return trail
 
 
@@ -170,7 +170,7 @@ def lollipop_plan(n: int, m: int) -> LollipopPlan:
     r = lollipop_h(n, m)
     t = _min_t(n, m)
     removed = _removals(n, t, r > n + t)
-    trail = _eulerian_trail(r, n, removed, start=1)
+    trail = _eulerian_trail(r, n, removed)
     if len(trail) < m:
         raise AssertionError(f"residual trail too short: {len(trail)} < {m}")
     return LollipopPlan(

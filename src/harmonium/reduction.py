@@ -5,13 +5,14 @@ joined to every G-vertex (diameter <= 2, so it needs |V| + 3 distinct
 colors) together with a disjoint clique on |V| vertices. It admits a
 harmonious coloring with 2|V| + 3 - k colors iff G has an independent
 set of size k; color reuse between the components is exactly an
-independent set.
+independent set. So a promise gap (c, s) on independent-set density,
+0 < s < c <= 1/2, becomes the paper's inapproximability ratio
+(2 - s)/(2 - c) for h.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graph import Graph, from_edge_list
 from .heuristics import max_independent_set
@@ -89,10 +90,3 @@ def verify_equivalence(g: Graph, k: int) -> EquivalenceReport:
         colorable_at_threshold=outcome.feasible,
     )
 
-
-def gap_ratio(c: Fraction, s: Fraction) -> Fraction:
-    """Inapproximability ratio (2 - s) / (2 - c) implied by a promise
-    gap (c, s) on independent-set density; reporting metadata only."""
-    if not 0 < s < c <= Fraction(1, 2):
-        raise ValueError("need 0 < s < c <= 1/2")
-    return (2 - s) / (2 - c)

@@ -16,9 +16,11 @@ have identical subtrees, and a subtree holding a witness ends the search,
 so a state seen again at v failed before: at entry it counts as its
 stored node count instead of being walked again, and goes through the same
 budget check as a walked node. The tables are kept only where at most two
-earlier vertices touch the rest (cycles, paths, lollipop tails). The
-nodes, witnesses and budget verdicts are those of the plain walk. The
-empty graph's tree is its one leaf: one node, the empty witness.
+earlier vertices touch the rest (cycles, paths, lollipop tails), and not
+at the last two depths, where a failed subtree is at most a node and its
+one-node children. The nodes, witnesses and budget verdicts are those of
+the plain walk. The empty graph's tree is its one leaf: one node, the
+empty witness.
 An "infeasible" answer is an exhaustive claim; running out of budget is
 reported as its own outcome, never conflated with infeasibility.
 
@@ -112,7 +114,10 @@ def _search(g: Graph, k: int, node_budget: int | None,
     of front[v], the vertices u < v with a neighbor >= v. Two entries to v
     that agree on these have identical subtrees, node for node. A subtree
     with a witness ends the search, so every subtree entered a second time
-    failed: its stored size stands in for walking it again.
+    failed: its stored size stands in for walking it again. No table sits
+    at v >= n - 2: a child at n - 1 with a candidate reaches the leaf and
+    ends the search, so a failed subtree entered at n - 2 is that node plus
+    one-node children, and a lookup there saves no more than it costs.
     """
     n = g.n
     k = min(k, n)  # maxc < n, so no color above n is tried: k sizes nothing
@@ -123,9 +128,9 @@ def _search(g: Graph, k: int, node_budget: int | None,
         for w in range(u + 1, max(g.adj[u], default=u) + 1):
             front[w].append(u)
     # tables[v]: the exact state at entry to v, packed into one int, -> the
-    # size of its failed subtree; None where the front is too wide to repeat,
-    # at v = n - 1 (one node or the witness below) and at the leaf v = n
-    tables = [{} if v < n - 1 and len(front[v]) <= _FRONT_CAP else None
+    # size of its failed subtree; None where the front is too wide to repeat
+    # and at v >= n - 2 (a failed subtree there is at most one level deep)
+    tables = [{} if v < n - 2 and len(front[v]) <= _FRONT_CAP else None
               for v in range(n + 1)]
     cbits, pbits = k.bit_length(), k + 1
     # allowed[maxc]: a brand-new color must be maxc + 1 (symmetry breaking)

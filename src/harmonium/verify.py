@@ -54,15 +54,19 @@ class Verdict:
     def __bool__(self) -> bool:
         return self.ok
 
-
-def _check_total(g: Graph, c: Coloring) -> None:
-    if c.n != g.n:
-        raise ValueError(f"coloring covers {c.n} vertices, graph has {g.n}")
+    def __str__(self) -> str:
+        """The one wording of a verdict, as `harmonium check` prints it."""
+        if self.kind == "not_proper":
+            return f"not proper: edge {self.edge} is monochromatic"
+        if self.kind == "pair_repeated":
+            return f"pair {self.pair} repeated on edges {self.edge} and {self.other_edge}"
+        return "ok"
 
 
 def is_harmonious(g: Graph, c: Coloring) -> Verdict:
     """Verify properness and edge-pair injectivity in one pass."""
-    _check_total(g, c)
+    if c.n != g.n:
+        raise ValueError(f"coloring covers {c.n} vertices, graph has {g.n}")
     seen: dict[tuple[int, int], tuple[int, int]] = {}
     for u, v in g.edges:
         a, b = c.colors[u], c.colors[v]
@@ -75,20 +79,6 @@ def is_harmonious(g: Graph, c: Coloring) -> Verdict:
     return Verdict("ok")
 
 
-def edge_pair_table(g: Graph, c: Coloring) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """Map each unordered color pair to the edges carrying it.
-
-    Monochromatic edges appear under the pair (c, c); the coloring is
-    harmonious iff no such pair occurs and every multiplicity is 1.
-    """
-    _check_total(g, c)
-    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, v in g.edges:
-        a, b = c.colors[u], c.colors[v]
-        table.setdefault((min(a, b), max(a, b)), []).append((u, v))
-    return table
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     """Lower bounds on the harmonious chromatic number, plus context.
@@ -96,14 +86,14 @@ class BoundsReport:
     combined is the largest of size_bound, delta_bound, regular33_bound (7
     for 3-regular diameter-3 graphs) and, for diameter at most 2, n. The
     first two never exceed n, so on the empty graph they and combined are
-    0. The upper-bound formulas are context only.
+    0. The two upper-bound formulas are context only; the trivial upper
+    bound, n, is g.n itself.
     """
 
     size_bound: int
     delta_bound: int
     regular33_bound: int | None
     combined: int
-    upper_trivial: int  # n: all-distinct coloring
     upper_lee_mitchem: int
     upper_mcdiarmid: int
 
@@ -133,7 +123,6 @@ def lower_bounds(g: Graph) -> BoundsReport:
         delta_bound=delta_bound,
         regular33_bound=regular33,
         combined=combined,
-        upper_trivial=g.n,
         upper_lee_mitchem=(delta * delta + 1) * math.ceil(math.sqrt(g.n)) if g.n else 0,
         # at least 1: an edgeless graph still needs one color
         upper_mcdiarmid=max(1, math.ceil(2 * delta * math.sqrt(g.n - 1))) if g.n else 0,

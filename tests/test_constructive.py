@@ -91,6 +91,16 @@ def test_closed_sun_construction(n):
     assert c.k == expected
 
 
+def test_closed_sun_colorings_are_pinned():
+    # sha256 recorded while n <= 5 had its own all-distinct branch
+    digest = hashlib.sha256()
+    for n in range(3, 17):
+        digest.update(repr(color_closed_sun(n).colors).encode())
+    assert digest.hexdigest() == (
+        "53a6860cf40b19a35c09f7f7078cab304e399123e64f8c83db0a326c6b579023"
+    )
+
+
 def test_construction_guards():
     with pytest.raises(ValueError):
         color_sun(2)

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from harmonium import (
@@ -11,7 +9,6 @@ from harmonium import (
     verify_equivalence,
 )
 from harmonium.families import complete, cycle, path
-from harmonium.reduction import gap_ratio
 
 
 def test_build_shape():
@@ -114,11 +111,3 @@ def test_equivalence_directions_both_occur():
 def test_equivalence_guard():
     with pytest.raises(ValueError):
         verify_equivalence(cycle(7), 2)
-
-
-def test_gap_ratio():
-    assert gap_ratio(Fraction(1, 2), Fraction(1, 4)) == Fraction(7, 6)
-    with pytest.raises(ValueError):
-        gap_ratio(Fraction(1, 4), Fraction(1, 2))
-    with pytest.raises(ValueError):
-        gap_ratio(Fraction(2, 3), Fraction(1, 4))

@@ -150,9 +150,9 @@ def test_node_budget_bounds_the_whole_solve():
 # (status, nodes, nodes walked) from the lower bound up to h, and the
 # witness at h.
 SEARCH_TREES = {
-    "C14": (cycle(14), {6: (INFEASIBLE, 4040, 1148), 7: ("witness", 16, 16)},
+    "C14": (cycle(14), {6: (INFEASIBLE, 4040, 1297), 7: ("witness", 16, 16)},
             (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 7)),
-    "C20": (cycle(20), {7: (INFEASIBLE, 1_888_430, 45_874), 8: ("witness", 4_770, 2_930)},
+    "C20": (cycle(20), {7: (INFEASIBLE, 1_888_430, 47_034), 8: ("witness", 4_770, 3_530)},
             (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 5, 3, 6, 4, 7, 5, 8)),
     "GP7-2": (generalized_petersen(7, 2), {7: ("witness", 422, 422)},
               (1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7, 1, 2, 3)),
@@ -212,7 +212,7 @@ def test_an_unspent_time_budget_changes_nothing():
     # nodes), C20's also after reused subtrees
     import harmonium.solver as s
 
-    for g, k, tree in ((cycle(20), 7, (INFEASIBLE, 1_888_430, 45_874)),
+    for g, k, tree in ((cycle(20), 7, (INFEASIBLE, 1_888_430, 47_034)),
                        (generalized_petersen(9, 3), 8, (INFEASIBLE, 43_228, 43_228))):
         assert tree[1] > s._TICK
         for cfg in (None, SolverConfig(time_budget=60)):
@@ -284,7 +284,8 @@ def test_exists_k_checks_the_witness(monkeypatch):
         return s.SearchOutcome("witness", Coloring((1,) * g.n), 0, 0)
 
     monkeypatch.setattr(s, "_search", bad_search)
-    with pytest.raises(RuntimeError, match="invalid witness at k=5"):
+    with pytest.raises(RuntimeError, match=r"invalid witness at k=5: not proper: edge \(0, 1\) "
+                                           "is monochromatic$"):
         exists_k(cycle(5), 5)
 
 

@@ -6,7 +6,6 @@ import pytest
 from harmonium import (
     Coloring,
     diameter,
-    edge_pair_table,
     from_edge_list,
     is_harmonious,
     lower_bounds,
@@ -34,6 +33,7 @@ def test_pair_repeated_on_path():
     assert v.pair == (1, 2)
     # the middle edge already repeats the first edge's pair
     assert v.edge == (0, 1) and v.other_edge == (1, 2)
+    assert str(v) == "pair (1, 2) repeated on edges (0, 1) and (1, 2)"
 
 
 def test_pair_repeated_on_c4():
@@ -46,6 +46,7 @@ def test_not_proper_reported_first():
     g = path(3)
     v = is_harmonious(g, Coloring((1, 1, 2)))
     assert v.kind == "not_proper" and v.edge == (0, 1)
+    assert str(v) == "not proper: edge (0, 1) is monochromatic"
     assert bool(v) is False and bool(is_harmonious(g, Coloring((1, 2, 3)))) is True
 
 
@@ -57,25 +58,21 @@ def test_partial_coloring_rejected():
 
 
 def test_pair_table_k3():
-    table = edge_pair_table(complete(3), Coloring((1, 2, 3)))
-    assert len(table) == 3
-    assert all(len(v) == 1 for v in table.values())
+    v = is_harmonious(complete(3), Coloring((1, 2, 3)))
+    assert v.ok and str(v) == "ok"
 
 
 def test_pair_table_star():
-    g = star(3)
-    table = edge_pair_table(g, Coloring((1, 2, 2, 3)))
-    assert len(table[(1, 2)]) == 2
+    v = is_harmonious(star(3), Coloring((1, 2, 2, 3)))
+    assert (v.kind, v.pair, v.edge, v.other_edge) == ("pair_repeated", (1, 2), (0, 1), (0, 2))
 
 
 def test_pair_table_from_solver_witness():
     g = cycle(5)
     res = solve(g)
     assert res.h == 5  # C_5 has diameter 2, so every vertex needs its own color
-    table = edge_pair_table(g, res.witness)
     assert res.witness.k == 5
-    assert len(table) == 5
-    assert all(len(v) == 1 for v in table.values())
+    assert is_harmonious(g, res.witness).ok
 
 
 def test_verdict_equivalent_to_table(rng):
@@ -85,7 +82,11 @@ def test_verdict_equivalent_to_table(rng):
         g = random_graph(rng.randint(2, 9), rng.uniform(0.2, 0.7), rng)
         k = rng.randint(1, g.n)
         c = Coloring(tuple(rng.randint(1, k) for _ in range(g.n)))
-        table = edge_pair_table(g, c)
+        # the oracle: each unordered color pair -> the edges carrying it
+        table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for u, v in g.edges:
+            a, b = c.colors[u], c.colors[v]
+            table.setdefault((min(a, b), max(a, b)), []).append((u, v))
         table_ok = all(len(v) == 1 for v in table.values()) and not any(
             a == b for a, b in table
         )
@@ -164,7 +165,7 @@ def test_upper_bounds_are_at_least_h(rng):
         report = lower_bounds(g)
         for f in fields:
             assert getattr(report, f) >= h, (f, g.n, sorted(g.edges))
-    assert len(fields) == 3 and edgeless >= 30
+    assert len(fields) == 2 and edgeless >= 30
 
 
 def test_diameter2_exact_h_is_n(rng):
