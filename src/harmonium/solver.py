@@ -55,6 +55,8 @@ class SolverConfig:
     time_budget: float | None = None  # seconds
 
     def __post_init__(self):
+        if self.node_budget is not None and not isinstance(self.node_budget, int):
+            raise ValueError(f"node_budget must be an integer, got {self.node_budget!r}")
         if self.node_budget is not None and self.node_budget <= 0:
             raise ValueError("node_budget must be positive")
         if self.time_budget is not None and not self.time_budget > 0:  # NaN too

@@ -150,13 +150,22 @@ def test_load_coloring_partial_rejected(tmp_path):
         load_coloring(str(f), 2)
 
 
-@pytest.mark.parametrize("line", ["0", "0 1 2", "0 red"])
-def test_check_rejects_a_malformed_coloring_line(tmp_path, capsys, line):
+_BAD_COLORING_LINES = [
+    ("0", "expected a line 'v c', got '0'"),
+    ("0 1 2", "expected a line 'v c', got '0 1 2'"),
+    ("0 red", "expected a line 'v c', got '0 red'"),
+    ("0 0", "vertex 0 has color 0; colors start at 1"),
+]
+
+
+@pytest.mark.parametrize("line, message", _BAD_COLORING_LINES,
+                         ids=[line for line, _ in _BAD_COLORING_LINES])
+def test_check_rejects_a_malformed_coloring_line(tmp_path, capsys, line, message):
     f = tmp_path / "c.coloring"
     f.write_text(f"# comment\n\n{line}\n1 2\n2 3\n")
     code, _, err = run(capsys, "check", "family:path:3", str(f))
     assert code == EXIT_USAGE
-    assert f"expected a line 'v c', got {line!r}" in err
+    assert err == f"error: {message}\n"
 
 
 def test_check_rejects_a_vertex_listed_twice(tmp_path, capsys):
@@ -271,7 +280,7 @@ def test_main_resolves_each_graph_once(monkeypatch, capsys, tmp_path):
         assert refs == [argv[1]]
     refs.clear()
     assert run(capsys, "gen")[0] == EXIT_OK and refs == []
-    # the reproduce table names every graph it solves or constructs
+    # the reproduce table names every graph it solves
     assert run(capsys, "reproduce")[0] == EXIT_OK
     table = [ref for _, _, ref in cli._PAPER_ROWS]
     assert len(table) == 28
@@ -279,19 +288,30 @@ def test_main_resolves_each_graph_once(monkeypatch, capsys, tmp_path):
 
 
 def test_a_rejected_closed_form_is_a_mismatch(monkeypatch, capsys):
-    # the one checked path serves construct and reproduce's sunflower(7..9) rows
     import harmonium.cli as cli
 
     monkeypatch.setitem(cli._CONSTRUCTIONS, "sunflower", lambda n, m: Coloring((1,) * (2 * n + 1)))
     code, out, err = run(capsys, "construct", "family:sunflower:8")
     assert code == EXIT_MISMATCH and out == ""
     assert err == "construction failed verification: not proper: edge (0, 1) is monochromatic\n"
-    code, out, _ = run(capsys, "reproduce")
-    assert code == EXIT_MISMATCH
-    marks = {line.split()[0]: line.split()[-1] for line in out.splitlines()}
-    assert [k for k, mark in marks.items() if mark != "ok"] == [
-        "sunflower(7)", "sunflower(8)", "sunflower(9)"]
-    assert {marks[k] for k in ("sunflower(7)", "sunflower(8)", "sunflower(9)")} == {"ERROR"}
+
+
+def test_reproduce_solves_every_graph_row(monkeypatch, capsys):
+    # each published h is proven by the solver, none only counted off a closed form
+    import harmonium.cli as cli
+
+    original, solved = cli.solve, []
+
+    def counting(g, cfg=None):
+        res = original(g, cfg)
+        solved.append(res.h)
+        return res
+
+    monkeypatch.setattr(cli, "solve", counting)
+    code, out, _ = run(capsys, "reproduce", "--json")
+    assert code == EXIT_OK
+    assert solved == [expected for _, expected, _ in cli._PAPER_ROWS]
+    assert len(solved) == 28
 
 
 def test_reproduce_full_table(capsys):
@@ -412,6 +432,7 @@ _PINNED_FILES = {
     "one_token.coloring": "0\n1 2\n2 3\n",
     "three_tokens.coloring": "0 1 2\n1 2\n2 3\n",
     "word.coloring": "0 red\n1 2\n2 3\n",
+    "zero.coloring": "0 0\n1 2\n2 3\n",
     "order.txt": "3 1 0 2\n",
 }
 _PINNED_CORPUS = [
@@ -462,6 +483,7 @@ _PINNED_CORPUS = [
     ("check", "family:path:3", "TMP/one_token.coloring"),
     ("check", "family:path:3", "TMP/three_tokens.coloring"),
     ("check", "family:path:3", "TMP/word.coloring"),
+    ("check", "family:path:3", "TMP/zero.coloring"),
     ("check", "family:path:3", "TMP/missing.coloring"),
     ("check", "family:path:3"),
     ("greedy", "name:petersen"),
@@ -505,31 +527,30 @@ _PINNED_CORPUS = [
 
 
 def test_every_command_output_is_pinned(tmp_path, monkeypatch, capsys):
-    # recorded before the commands shared one graph resolver and one
-    # argument helper, then again when a non-integer family parameter
-    # (family:cycle:x, family:sun:x) got its own message, then when `bound`
-    # dropped upper_trivial and `reduce` dropped --gap: any change in what a
-    # command prints, writes or returns changes the digest (argparse wraps
-    # usage lines at COLUMNS)
+    # one sha256 per record, keyed by the command line, against the table in
+    # cli_pins.json: any change in what a command prints, writes or returns
+    # changes its digest, and the failed comparison names the command
+    # (argparse wraps usage lines at COLUMNS)
     import hashlib
-    import re
-
     import io
+    import pathlib
+    import re
 
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setattr("sys.stdin", io.StringIO(_PINNED_FILES["p3.edges"]))
     for name, text in _PINNED_FILES.items():
         (tmp_path / name).write_text(text)
     out_file = tmp_path / "out"
-    digest = hashlib.sha256()
-    for argv in _PINNED_CORPUS:
-        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+    digests = {}
+    for entry in _PINNED_CORPUS:
+        argv = [arg.replace("TMP", str(tmp_path)) for arg in entry]
         code, out, err = run(capsys, *argv)
         artifact = out_file.read_text() if out_file.exists() else None
         out_file.unlink(missing_ok=True)
         record = json.dumps([argv, code, out, err, artifact]).replace(str(tmp_path), "TMP")
         record = re.sub(r'(elapsed\\?"?[=:] ?)[0-9.e-]+', r"\1X", record)
         record = re.sub(r" +[0-9]+\.[0-9]{2}s  ", " Xs  ", record)  # reproduce's table
-        digest.update(record.encode())
-    assert digest.hexdigest() == (
-        "eba68306e680dc3a32789ea72ca601bb7c49fb0b20407c621afc47a9f6383ebd")
+        digests[" ".join(entry)] = hashlib.sha256(record.encode()).hexdigest()
+    assert len(digests) == len(_PINNED_CORPUS)
+    pins = pathlib.Path(__file__).with_name("cli_pins.json").read_text()
+    assert digests == json.loads(pins)

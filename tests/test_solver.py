@@ -223,6 +223,8 @@ def test_an_unspent_time_budget_changes_nothing():
 def test_invalid_config():
     with pytest.raises(ValueError):
         SolverConfig(node_budget=0)
+    with pytest.raises(ValueError, match="node_budget must be an integer"):  # a tree size is whole
+        SolverConfig(node_budget=1.5)
     with pytest.raises(ValueError):
         SolverConfig(time_budget=-1)
     with pytest.raises(ValueError):  # a NaN deadline is never reached
