@@ -14,7 +14,11 @@ and writes the artifact there or to stdout, its JSON summary to stderr.
 --k: k, status, nodes_explored, nodes_walked, elapsed and, if feasible,
 witness); `--json` prints them as one object, the text mode as
 `key=value` lines. nodes_explored counts the search tree's nodes,
-nodes_walked the ones the search entered rather than reused.
+nodes_walked the ones the search entered rather than reused. A proof that
+walks 2^16 nodes without reusing a failed subtree is split across the
+CPUs in the process's affinity (Linux); its h, witness, nodes_explored
+and budget stops are the one-process search's, and its nodes_walked sums
+the processes, so it can vary between runs and CPU counts.
 """
 
 from __future__ import annotations

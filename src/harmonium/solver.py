@@ -21,6 +21,13 @@ at the last two depths, where a failed subtree is at most a node and its
 one-node children. The nodes, witnesses and budget verdicts are those of
 the plain walk. The empty graph's tree is its one leaf: one node, the
 empty witness.
+On Linux with two or more CPUs in the process's affinity, a walk that
+enters 2^16 nodes without reusing a failed subtree splits the rest of its
+tree into prefix tasks and searches them on forked processes (split.py);
+a walk whose tables pay stays in one process. The results merge in DFS
+order, so status, witness, nodes_explored and budget stops are those of
+the one-process walk, and nodes_walked sums the processes' walks, so it
+can vary between runs and CPU counts.
 An "infeasible" answer is an exhaustive claim; running out of budget is
 reported as its own outcome, never conflated with infeasibility.
 
@@ -32,6 +39,7 @@ independent to agree with.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -55,11 +63,13 @@ class SolverConfig:
     time_budget: float | None = None  # seconds
 
     def __post_init__(self):
-        if self.node_budget is not None and not isinstance(self.node_budget, int):
-            raise ValueError(f"node_budget must be an integer, got {self.node_budget!r}")
-        if self.node_budget is not None and self.node_budget <= 0:
+        # bool is an int subclass, and True is not a budget of 1 node or 1 s
+        nodes, secs = self.node_budget, self.time_budget
+        if nodes is not None and (not isinstance(nodes, int) or isinstance(nodes, bool)):
+            raise ValueError(f"node_budget must be an integer, got {nodes!r}")
+        if nodes is not None and nodes <= 0:
             raise ValueError("node_budget must be positive")
-        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
+        if secs is not None and (isinstance(secs, bool) or not secs > 0):  # NaN too
             raise ValueError("time_budget must be positive")
 
 
@@ -70,7 +80,7 @@ class SearchOutcome:
     status: str  # "witness" | INFEASIBLE | BUDGET_EXHAUSTED
     witness: Coloring | None
     nodes_explored: int  # nodes of the search tree
-    nodes_walked: int  # nodes the loop entered
+    nodes_walked: int  # nodes the walk entered, summed over a split's processes
 
     @property
     def feasible(self) -> bool:
@@ -95,10 +105,24 @@ _NEVER = sys.maxsize
 # nodes of GP(10,3) at k = 9 for a 50 MB tracemalloc peak, and a cap of 3
 # walks the same nodes as 2 on the exact ladder's fixed instances.
 _FRONT_CAP = 2
+# a top-level walk that enters this many nodes without reusing a failed
+# subtree splits the rest of its tree across the CPUs (split.run)
+_SPLIT_AT = 1 << 16
 
 
-def _search(g: Graph, k: int, node_budget: int | None,
-            deadline: float | None) -> SearchOutcome:
+def _workers() -> int:
+    """Processes a search may split across: the CPUs in this process's
+    affinity on Linux, and 1 elsewhere or while another thread runs, since
+    a forked child holds only the calling thread."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "sched_getaffinity") or threading and threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
+            prefix: tuple[int, ...] = (), pause: int | None = None
+            ) -> SearchOutcome | tuple[int, list[tuple[int, ...]]]:
     """Backtracking over the vertices in index order, with an explicit stack.
 
     used[c] is the bitmask of the colors already paired with c. The
@@ -120,7 +144,22 @@ def _search(g: Graph, k: int, node_budget: int | None,
     at v >= n - 2: a child at n - 1 with a candidate reaches the leaf and
     ends the search, so a failed subtree entered at n - 2 is that node plus
     one-node children, and a lookup there saves no more than it costs.
+
+    prefix colors vertices 0..len(prefix)-1 as the walk would have (each
+    color one of its candidates there), and the walk covers only the
+    subtree below: its root is the first node, and backtracking past it
+    ends the walk. A walk given a pause that enters more than pause nodes
+    without reusing any failed subtree stops before the next node and
+    returns (nodes, tasks): the rest of its tree as prefixes in DFS order,
+    the current node first, then each depth's untried colors, deepest
+    depth first. The top-level call (pause None) pauses at _SPLIT_AT
+    nodes if more than one CPU can run it (_workers), and split.run
+    searches those tasks across processes; its outcome is this walk's,
+    with nodes_walked summed over the processes.
     """
+    top = pause is None
+    if top:
+        pause = _SPLIT_AT
     n = g.n
     k = min(k, n)  # maxc < n, so no color above n is tried: k sizes nothing
     # neighbors of v with a smaller index: colored before v
@@ -146,11 +185,21 @@ def _search(g: Graph, k: int, node_budget: int | None,
     tops = [0] * n
     keys = [0] * n
     starts = [_NEVER] * n  # never written at an untabled depth
+    maxc = 0
+    for v, c in enumerate(prefix):
+        color[v] = c
+        bit = 1 << c
+        mask = 0
+        for u in back[v]:
+            used[color[u]] |= bit
+            mask |= 1 << color[u]
+        used[c] |= mask
+        maxc = max(maxc, c)
+    start = v = len(prefix)
     stop = _NEVER if node_budget is None else node_budget + 1
     tick = _NEVER if deadline is None else _TICK
-    check_at = min(stop, tick)
+    check_at = min(stop, tick, pause + 1)
     nodes = reused = 0
-    v = maxc = 0
     while True:
         step = 1
         table = tables[v]
@@ -170,10 +219,27 @@ def _search(g: Graph, k: int, node_budget: int | None,
             reused += step - 1
         nodes += step
         if nodes >= check_at:
-            if nodes >= stop or time.monotonic() > deadline:
+            if nodes >= stop or nodes >= tick and time.monotonic() > deadline:
                 return SearchOutcome(BUDGET_EXHAUSTED, None, min(nodes, stop), nodes - reused)
-            tick = nodes + _TICK
-            check_at = min(stop, tick)
+            if nodes >= tick:
+                tick = nodes + _TICK
+            if nodes > pause:
+                if reused or top and (workers := _workers()) < 2:
+                    pause = _NEVER  # tables that pay, or one CPU: the walk goes on alone
+                else:
+                    # no subtree was reused, so this node's step was 1
+                    tasks = [tuple(color[:v])]
+                    for d in range(v - 1, start - 1, -1):
+                        cands = untried[d]
+                        while cands:
+                            bit = cands & -cands
+                            cands ^= bit
+                            tasks.append((*color[:d], bit.bit_length() - 1))
+                    if not top:
+                        return nodes - 1, tasks
+                    from .split import run
+                    return run(g, k, node_budget, deadline, nodes - 1, tasks, workers)
+            check_at = min(stop, tick, pause + 1)
         if v == n:
             return SearchOutcome("witness", Coloring(tuple(color)), nodes, nodes - reused)
         if step > 1:
@@ -198,7 +264,7 @@ def _search(g: Graph, k: int, node_budget: int | None,
             if nodes > starts[v] + 1:
                 tables[v][keys[v]] = nodes - starts[v]
             v -= 1
-            if v < 0:
+            if v < start:
                 return SearchOutcome(INFEASIBLE, None, nodes, nodes - reused)
             c = color[v]
             bit = 1 << c

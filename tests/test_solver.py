@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from harmonium import (
@@ -225,6 +227,10 @@ def test_invalid_config():
         SolverConfig(node_budget=0)
     with pytest.raises(ValueError, match="node_budget must be an integer"):  # a tree size is whole
         SolverConfig(node_budget=1.5)
+    with pytest.raises(ValueError, match="node_budget must be an integer"):  # not a 1-node budget
+        SolverConfig(node_budget=True)
+    with pytest.raises(ValueError, match="time_budget must be positive"):  # not 1 s
+        SolverConfig(time_budget=True)
     with pytest.raises(ValueError):
         SolverConfig(time_budget=-1)
     with pytest.raises(ValueError):  # a NaN deadline is never reached
@@ -299,3 +305,152 @@ def test_edgeless_graph():
     out = exists_k(from_edge_list(0, []), 0)  # the tree is its one leaf
     assert (out.status, out.witness.colors, out.nodes_explored, out.nodes_walked) == (
         "witness", (), 1, 1)
+
+
+# A top-level walk that enters solver._SPLIT_AT nodes without reusing a
+# failed subtree splits the rest of its tree across the CPUs in its affinity.
+linux_only = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                                reason="a search splits only on Linux")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """set_cpus(n) makes the solver see n CPUs; set_cpus.forks lists the
+    children forked since."""
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    monkeypatch.setattr(os, "fork", fork)
+    set_cpus.forks = forks
+    return set_cpus
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@linux_only
+def test_a_split_search_is_the_one_process_walk(cpus, monkeypatch):
+    import random
+
+    import harmonium.solver as s
+    import harmonium.split as split
+    from conftest import random_graph
+
+    rng = random.Random(15)
+    cases = forked = 0
+    for _ in range(100):
+        g = random_graph(rng.randint(1, 11), rng.uniform(0.15, 0.7), rng)
+        for k in range(max(1, lower_bounds(g).size_bound), g.n + 1):
+            monkeypatch.setattr(s, "_SPLIT_AT", 1 << 16)
+            cpus(1)
+            count = exists_k(g, k).nodes_explored
+            for budget in sorted({1, 2, max(1, count // 2), max(1, count - 1), count}):
+                cfg = SolverConfig(node_budget=budget)
+                cpus(1)
+                one = exists_k(g, k, cfg)
+                for workers in (2, 4):
+                    cpus(workers)
+                    monkeypatch.setattr(s, "_SPLIT_AT", rng.randint(0, 6))
+                    monkeypatch.setattr(split, "_TASKS_PER_WORKER", rng.randint(1, 4))
+                    forks = len(cpus.forks)
+                    out = exists_k(g, k, cfg)
+                    assert (out.status, out.witness, out.nodes_explored) == (
+                        one.status, one.witness, one.nodes_explored), (g.edges, k, budget)
+                    cases += 1
+                    forked += len(cpus.forks) > forks
+    assert cases > 2000 and forked > 800  # 2,474 cases, 900 of them forked
+    assert no_children_left()
+
+
+@linux_only
+def test_a_long_proof_splits_at_the_default_constants(cpus):
+    cpus(2)
+    out = exists_k(generalized_petersen(10, 3), 9)
+    assert (out.status, out.nodes_explored) == (INFEASIBLE, 1_081_600)
+    assert len(cpus.forks) == 1 and no_children_left()
+
+
+@linux_only
+def test_a_walk_whose_tables_pay_stays_in_one_process(cpus, monkeypatch):
+    import harmonium.solver as s
+
+    # C20's k = 7 proof reuses a failed subtree within its first 1,000 nodes
+    cpus(2)
+    monkeypatch.setattr(s, "_SPLIT_AT", 1000)
+    out = exists_k(cycle(20), 7)
+    assert (out.status, out.nodes_explored, out.nodes_walked) == (INFEASIBLE, 1_888_430, 47_034)
+    assert cpus.forks == []
+
+
+@linux_only
+def test_one_cpu_or_another_thread_never_forks(cpus, monkeypatch):
+    import threading
+
+    import harmonium.solver as s
+
+    monkeypatch.setattr(s, "_SPLIT_AT", 1000)
+    g, tree = generalized_petersen(9, 3), (INFEASIBLE, 43_228, 43_228)
+    cpus(1)
+    out = exists_k(g, 8)
+    assert (out.status, out.nodes_explored, out.nodes_walked) == tree
+    # a forked child would hold only the calling thread
+    cpus(2)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        out = exists_k(g, 8)
+    finally:
+        done.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert (out.status, out.nodes_explored, out.nodes_walked) == tree
+    assert cpus.forks == []
+
+
+@linux_only
+@pytest.mark.parametrize("how", ["returns", "raises"])
+def test_a_child_without_a_result_is_an_error(cpus, monkeypatch, how):
+    import harmonium.solver as s
+    import harmonium.split as split
+
+    def claim_and_quit(g, k, budget, deadline, entries, todo, claims, out_fd):
+        split._claim(claims, back=True)
+        if how == "raises":
+            raise MemoryError
+
+    cpus(2)
+    monkeypatch.setattr(s, "_SPLIT_AT", 1000)
+    monkeypatch.setattr(split, "_work", claim_and_quit)
+    with pytest.raises(RuntimeError, match="search process"):
+        exists_k(generalized_petersen(9, 3), 8)
+    assert len(cpus.forks) == 1 and no_children_left()
+
+
+@linux_only
+@pytest.mark.parametrize("g, k, cfg, status", [
+    (generalized_petersen(9, 3), 9, None, "witness"),
+    (generalized_petersen(9, 3), 8, None, INFEASIBLE),
+    (generalized_petersen(9, 3), 8, SolverConfig(node_budget=20_000), BUDGET_EXHAUSTED),
+    (generalized_petersen(10, 3), 9, SolverConfig(time_budget=0.05), BUDGET_EXHAUSTED),
+], ids=["witness", "infeasible", "node budget", "deadline"])
+def test_no_child_outlives_a_split_search(cpus, monkeypatch, g, k, cfg, status):
+    import harmonium.solver as s
+
+    cpus(2)
+    monkeypatch.setattr(s, "_SPLIT_AT", 64)
+    out = exists_k(g, k, cfg)
+    assert out.status == status
+    assert len(cpus.forks) == 1 and no_children_left()
