@@ -2,7 +2,9 @@
 
 For each graph we print the lower bounds, the exact harmonious
 chromatic number, and how much search it took. The diameter-2 entries
-(Petersen, Wagner, octahedron, Moser spindle) all land exactly at n.
+(Petersen, Wagner, octahedron, Moser spindle, house) all land exactly
+at n: their bound is already n, and h = n needs no search, so they show
+0 nodes.
 """
 
 from harmonium import diameter, lower_bounds, named, solve

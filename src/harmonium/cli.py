@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Exit codes: 0 ok, 1 mismatch/infeasible/verification failure, 2 usage
-error, 3 budget exhausted. JSON is the machine interface; tables are for
+error, 3 budget exhausted, 4 crash (an exception escaped; its traceback
+goes to stderr). JSON is the machine interface; tables are for
 humans. Every command names its graph the same way, through one helper
 in `build_parser`: a file path (`-` for stdin), `name:<catalog-entry>` or
 `family:<family>:<n>[:<m>]`, which `main` resolves once (`load_graph`);
@@ -13,12 +14,10 @@ and writes the artifact there or to stdout, its JSON summary to stderr.
 `solve` keys: h, witness, nodes_explored, nodes_walked, elapsed (with
 --k: k, status, nodes_explored, nodes_walked, elapsed and, if feasible,
 witness); `--json` prints them as one object, the text mode as
-`key=value` lines. nodes_explored counts the search tree's nodes,
-nodes_walked the ones the search entered rather than reused. A proof that
-walks 2^16 nodes without reusing a failed subtree is split across the
-CPUs in the process's affinity (Linux); its h, witness, nodes_explored
-and budget stops are the one-process search's, and its nodes_walked sums
-the processes, so it can vary between runs and CPU counts.
+`key=value` lines. nodes_explored counts the nodes of the trees searched
+(h = n needs none), nodes_walked the ones the search entered rather than
+reused; a long proof may split across the CPUs (solver.exists_k), and
+then only nodes_walked can vary between runs.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_CRASH = 4
 
 REPRODUCE_ROW_BUDGET_S = 600.0  # per-row solve budget in seconds: only a hang guard
 
@@ -316,6 +316,8 @@ def cmd_reproduce(args, _g: None) -> int:
                   f"computed={r['computed']!s:>3}  {r['elapsed']:6.2f}s  {mark}")
     if "BUDGET" in marks:
         return EXIT_BUDGET
+    if "ERROR" in marks:
+        return EXIT_CRASH
     return EXIT_OK if all(r["ok"] for r in rows) else EXIT_MISMATCH
 
 
@@ -381,6 +383,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # a bug, not an answer: never the exit code of a mismatch
+        import traceback  # off the import path: only a crash needs it
+
+        traceback.print_exc()
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

@@ -21,13 +21,14 @@ at the last two depths, where a failed subtree is at most a node and its
 one-node children. The nodes, witnesses and budget verdicts are those of
 the plain walk. The empty graph's tree is its one leaf: one node, the
 empty witness.
-On Linux with two or more CPUs in the process's affinity, a walk that
-enters 2^16 nodes without reusing a failed subtree splits the rest of its
-tree into prefix tasks and searches them on forked processes (split.py);
-a walk whose tables pay stays in one process. The results merge in DFS
-order, so status, witness, nodes_explored and budget stops are those of
-the one-process walk, and nodes_walked sums the processes' walks, so it
-can vary between runs and CPU counts.
+On Linux with two or more CPUs in the process's affinity, exists_k
+pauses a walk that enters 2^16 nodes without reusing a failed subtree and
+hands the rest of its tree, as prefix tasks, to forked processes
+(split.py); a walk whose tables pay stays in one process. The results
+merge in DFS order, so status, witness, nodes_explored and budget stops
+are those of the one-process walk, and nodes_walked sums the processes'
+walks, so it can vary between runs and CPU counts.
+solve searches only k < n: h = n needs no walk.
 An "infeasible" answer is an exhaustive claim; running out of budget is
 reported as its own outcome, never conflated with infeasibility.
 
@@ -105,8 +106,8 @@ _NEVER = sys.maxsize
 # nodes of GP(10,3) at k = 9 for a 50 MB tracemalloc peak, and a cap of 3
 # walks the same nodes as 2 on the exact ladder's fixed instances.
 _FRONT_CAP = 2
-# a top-level walk that enters this many nodes without reusing a failed
-# subtree splits the rest of its tree across the CPUs (split.run)
+# exists_k pauses a walk that enters this many nodes without reusing a
+# failed subtree and splits the rest of its tree across the CPUs (split.run)
 _SPLIT_AT = 1 << 16
 
 
@@ -121,7 +122,7 @@ def _workers() -> int:
 
 
 def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
-            prefix: tuple[int, ...] = (), pause: int | None = None
+            prefix: tuple[int, ...] = (), pause: int = _NEVER
             ) -> SearchOutcome | tuple[int, list[tuple[int, ...]]]:
     """Backtracking over the vertices in index order, with an explicit stack.
 
@@ -148,18 +149,12 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
     prefix colors vertices 0..len(prefix)-1 as the walk would have (each
     color one of its candidates there), and the walk covers only the
     subtree below: its root is the first node, and backtracking past it
-    ends the walk. A walk given a pause that enters more than pause nodes
-    without reusing any failed subtree stops before the next node and
-    returns (nodes, tasks): the rest of its tree as prefixes in DFS order,
-    the current node first, then each depth's untried colors, deepest
-    depth first. The top-level call (pause None) pauses at _SPLIT_AT
-    nodes if more than one CPU can run it (_workers), and split.run
-    searches those tasks across processes; its outcome is this walk's,
-    with nodes_walked summed over the processes.
+    ends the walk. A walk that enters more than pause nodes without reusing
+    any failed subtree stops before the next node and returns (nodes,
+    tasks): the rest of its tree as prefixes in DFS order, the current node
+    first, then each depth's untried colors, deepest depth first. A walk
+    that has reused one passes its pause and goes on.
     """
-    top = pause is None
-    if top:
-        pause = _SPLIT_AT
     n = g.n
     k = min(k, n)  # maxc < n, so no color above n is tried: k sizes nothing
     # neighbors of v with a smaller index: colored before v
@@ -224,8 +219,8 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
             if nodes >= tick:
                 tick = nodes + _TICK
             if nodes > pause:
-                if reused or top and (workers := _workers()) < 2:
-                    pause = _NEVER  # tables that pay, or one CPU: the walk goes on alone
+                if reused:
+                    pause = _NEVER  # tables that pay: the walk goes on alone
                 else:
                     # no subtree was reused, so this node's step was 1
                     tasks = [tuple(color[:v])]
@@ -235,10 +230,7 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
                             bit = cands & -cands
                             cands ^= bit
                             tasks.append((*color[:d], bit.bit_length() - 1))
-                    if not top:
-                        return nodes - 1, tasks
-                    from .split import run
-                    return run(g, k, node_budget, deadline, nodes - 1, tasks, workers)
+                    return nodes - 1, tasks
             check_at = min(stop, tick, pause + 1)
         if v == n:
             return SearchOutcome("witness", Coloring(tuple(color)), nodes, nodes - reused)
@@ -291,8 +283,11 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
     """Decide whether g has a harmonious k-coloring.
 
     Returns a witness, an exhaustive INFEASIBLE, or BUDGET_EXHAUSTED.
-    Only the empty graph may ask for k = 0. A witness that fails
-    verification raises RuntimeError.
+    Only the empty graph may ask for k = 0. When two or more CPUs can run
+    the walk (_workers), it pauses at _SPLIT_AT nodes and split.run
+    searches the rest across processes; the outcome is the one-process
+    walk's, with nodes_walked summed over the processes. A witness that
+    fails verification raises RuntimeError.
     """
     if k < min(g.n, 1):
         raise ValueError(f"color budget must be >= 1, got {k}")
@@ -302,7 +297,11 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
     if g.m > k * (k - 1) // 2:
         return SearchOutcome(INFEASIBLE, None, 1, 1)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
-    out = _search(g, k, cfg.node_budget, deadline)
+    workers = _workers()
+    out = _search(g, k, cfg.node_budget, deadline, pause=_SPLIT_AT if workers > 1 else _NEVER)
+    if isinstance(out, tuple):
+        from .split import run
+        out = run(g, k, cfg.node_budget, deadline, *out, workers)
     if out.feasible:
         verdict = is_harmonious(g, out.witness)
         if not verdict.ok:
@@ -314,7 +313,9 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Exact harmonious chromatic number with witness and statistics.
 
     Iterates exists_k upward from the combined lower bound; h is the
-    first k with a witness. The node and time budgets bound the whole
+    first k with a witness, or n with v -> v + 1 and no search: at h = n
+    every coloring uses n distinct colors, and symmetry breaking makes the
+    walk's witness that one. The node and time budgets bound the whole
     solve: each k gets what the earlier ones left. Budget exhaustion
     raises BudgetExceeded naming the k it stopped at.
     """
@@ -323,7 +324,8 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     deadline = t0 + cfg.time_budget if cfg.time_budget else None
     k = lower_bounds(g).combined
     total_nodes = total_walked = 0
-    while True:
+    witness = Coloring(tuple(range(1, g.n + 1)))
+    while k < g.n:
         nodes_left = None if cfg.node_budget is None else cfg.node_budget - total_nodes
         secs_left = None if deadline is None else deadline - time.monotonic()
         spent = nodes_left == 0 or (secs_left is not None and secs_left <= 0)
@@ -335,16 +337,10 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
         total_nodes += out.nodes_explored
         total_walked += out.nodes_walked
         if out.feasible:
-            return SolveResult(
-                h=k,
-                witness=out.witness,
-                nodes_explored=total_nodes,
-                nodes_walked=total_walked,
-                elapsed=time.monotonic() - t0,
-            )
+            witness = out.witness
+            break
         k += 1
-        if k > g.n:
-            raise AssertionError("all-distinct coloring must be feasible")
+    return SolveResult(k, witness, total_nodes, total_walked, time.monotonic() - t0)
 
 
 def oracle_h(g: Graph) -> int:

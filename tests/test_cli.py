@@ -5,6 +5,7 @@ import pytest
 from harmonium import BudgetExceeded, Coloring, is_harmonious, named
 from harmonium.cli import (
     EXIT_BUDGET,
+    EXIT_CRASH,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
@@ -73,14 +74,15 @@ def test_solve_budget_exit(capsys):
     assert code == EXIT_BUDGET
 
 
-def test_solve_crash_is_not_a_budget_stop(monkeypatch):
+def test_solve_crash_is_not_a_budget_stop(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("solver bug")
 
     monkeypatch.setattr("harmonium.cli.solve", broken)
-    # a crash propagates (the interpreter exits 1); it is never exit 3
-    with pytest.raises(RuntimeError):
-        main(["solve", "name:petersen"])
+    # a crash exits 4 with its traceback: never 3 (budget) or 1 (infeasible)
+    code, out, err = run(capsys, "solve", "name:petersen")
+    assert (code, out) == (EXIT_CRASH, "")
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: solver bug\n")
 
 
 def test_solve_parallel_flag_removed(capsys):
@@ -350,7 +352,7 @@ def test_reproduce_raising_rows_fail(monkeypatch, capsys):
 
     monkeypatch.setattr("harmonium.cli._reproduce_rows", lambda: iter([rows[0], rows[2]]))
     code, out, _ = run(capsys, "reproduce")
-    assert code == EXIT_MISMATCH
+    assert code == EXIT_CRASH
     assert "ERROR" in out and "MISMATCH" not in out
 
 

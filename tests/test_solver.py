@@ -82,6 +82,28 @@ def test_oracle_agreement(rng):
         assert solve(g).h == oracle_h(g)
 
 
+def test_h_equal_to_n_is_the_walks_witness_without_a_walk(rng):
+    # the test_oracle_agreement corpus: at h = n every coloring uses n
+    # distinct colors, and symmetry breaking makes the walk's v -> v + 1
+    from conftest import random_graph
+
+    hits = 0
+    for _ in range(20):
+        g = random_graph(rng.randint(1, 8), rng.uniform(0.15, 0.7), rng)
+        if oracle_h(g) == g.n:
+            assert solve(g).witness.colors == tuple(range(1, g.n + 1))
+            assert exists_k(g, g.n).witness.colors == tuple(range(1, g.n + 1))
+            hits += 1
+    assert hits > 0
+
+
+def test_h_equal_to_n_needs_no_budget():
+    # the bounds give h >= 10 = n, so no k is searched and one node is enough
+    res = solve(named("petersen"), SolverConfig(node_budget=1))
+    assert (res.h, res.witness.colors, res.nodes_explored, res.nodes_walked) == (
+        10, tuple(range(1, 11)), 0, 0)
+
+
 def test_feasibility_matches_unpruned_enumeration(rng):
     """Symmetry breaking must not change feasibility for any (g, k)."""
     import itertools
@@ -270,9 +292,10 @@ from harmonium.families import cycle
 from harmonium.verify import Coloring
 
 assert False, "-O is not in effect"
-s._search = lambda g, k, budget, deadline: s.SearchOutcome("witness", Coloring((1,) * g.n), 0, 0)
+s._search = lambda g, k, budget, deadline, pause: s.SearchOutcome(
+    "witness", Coloring((1,) * g.n), 0, 0)
 try:
-    s.solve(cycle(4))
+    s.solve(cycle(6))  # h = 5 < n: solve searches from k = 4
 except RuntimeError as exc:
     print("raised:", exc)
 """
@@ -288,7 +311,7 @@ def test_exists_k_checks_the_witness(monkeypatch):
     import harmonium.solver as s
     from harmonium.verify import Coloring
 
-    def bad_search(g, k, budget, deadline):
+    def bad_search(g, k, budget, deadline, pause):
         return s.SearchOutcome("witness", Coloring((1,) * g.n), 0, 0)
 
     monkeypatch.setattr(s, "_search", bad_search)
@@ -372,6 +395,18 @@ def test_a_split_search_is_the_one_process_walk(cpus, monkeypatch):
                     forked += len(cpus.forks) > forks
     assert cases > 2000 and forked > 800  # 2,474 cases, 900 of them forked
     assert no_children_left()
+
+
+@linux_only
+def test_a_walk_with_its_defaults_never_forks(cpus, monkeypatch):
+    import harmonium.solver as s
+
+    cpus(2)
+    monkeypatch.setattr(s, "_SPLIT_AT", 64)
+    out = s._search(generalized_petersen(9, 3), 8, None, None)
+    assert isinstance(out, s.SearchOutcome)
+    assert (out.status, out.nodes_explored, out.nodes_walked) == (INFEASIBLE, 43_228, 43_228)
+    assert cpus.forks == []
 
 
 @linux_only
