@@ -304,6 +304,11 @@ def cmd_reproduce(args, _g: None) -> int:
         except Exception as exc:  # the row failed; the others still run
             computed = f"SKIPPED ({type(exc).__name__})"
             mark = "BUDGET" if isinstance(exc, BudgetExceeded) else "ERROR"
+            if mark == "ERROR":  # a bug: its cause goes to stderr, the row to stdout
+                import traceback
+
+                print(f"error: row {graph_id} raised:", file=sys.stderr)
+                traceback.print_exception(exc)
         rows.append({"graph_id": graph_id, "expected": expected, "computed": computed,
                      "elapsed": time.monotonic() - t0, "ok": computed == expected})
         marks.append(mark)

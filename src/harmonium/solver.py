@@ -21,8 +21,12 @@ at the last two depths, where a failed subtree is at most a node and its
 one-node children. The nodes, witnesses and budget verdicts are those of
 the plain walk. The empty graph's tree is its one leaf: one node, the
 empty witness.
+Where the next vertex is neither tabled nor the leaf, a node's candidates
+come in O(1) from its parent's, so a node without candidates (485,886 of
+the 1,081,600 nodes of GP(10,3)'s k = 9 proof) is counted without being
+pushed and popped.
 On Linux with two or more CPUs in the process's affinity, exists_k
-pauses a walk that enters 2^16 nodes without reusing a failed subtree and
+pauses a walk that enters 2^12 nodes without reusing a failed subtree and
 hands the rest of its tree, as prefix tasks, to forked processes
 (split.py); a walk whose tables pay stays in one process. The results
 merge in DFS order, so status, witness, nodes_explored and budget stops
@@ -107,8 +111,10 @@ _NEVER = sys.maxsize
 # walks the same nodes as 2 on the exact ladder's fixed instances.
 _FRONT_CAP = 2
 # exists_k pauses a walk that enters this many nodes without reusing a
-# failed subtree and splits the rest of its tree across the CPUs (split.run)
-_SPLIT_AT = 1 << 16
+# failed subtree and splits the rest of its tree across the CPUs (split.run).
+# 2^16 kept 59 % of cubic18-1's k = 8 proof and 14-20 % of GP(10,1)'s and
+# GP(10,2)'s k = 9 proofs on one CPU; 2^12 splits them after 1-4 % of it.
+_SPLIT_AT = 1 << 12
 
 
 def _workers() -> int:
@@ -146,6 +152,21 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
     ends the search, so a failed subtree entered at n - 2 is that node plus
     one-node children, and a lookup there saves no more than it costs.
 
+    Where v's child w = v + 1 is neither tabled nor the leaf, v is entered
+    once with the part of w's candidates that v's color leaves alone: rm,
+    the colors of R = back[w] minus v, and the OR of used[x] over x in rm
+    (all colors, so no candidate, when R's colors repeat). Coloring v with
+    c (bit b, mask the colors of back[v]) adds exactly the pairs {c, x} for
+    x in mask: used[x] gains b for each x in mask, used[c] gains mask, and
+    nothing else changes. So if v is in back[w], w has no candidates when
+    rm & b, and otherwise allowed[max(maxc, c)] minus rm, b, the OR, used[c]
+    and mask; if not, allowed[max(maxc, c)] minus rm, the OR, b when
+    rm & mask, and mask when rm & b. A child without candidates is counted
+    as its one node and v goes on to its next candidate, and a live one is
+    entered with its candidates known. The entry above still runs at
+    tabled depths, at the leaf, and when the next node reaches a budget,
+    deadline or pause check, so every check fires at the node it did.
+
     prefix colors vertices 0..len(prefix)-1 as the walk would have (each
     color one of its candidates there), and the walk covers only the
     subtree below: its root is the first node, and backtracking past it
@@ -168,18 +189,31 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
     # and at v >= n - 2 (a failed subtree there is at most one level deep)
     tables = [{} if v < n - 2 and len(front[v]) <= _FRONT_CAP else None
               for v in range(n + 1)]
+    # rest[v]: back[v + 1] without v, where v's child is found in O(1): v + 1
+    # is neither tabled nor the leaf; None elsewhere. joined[v]: v in back[v + 1]
+    rest = [None] * n
+    joined = [False] * n
+    for v in range(n - 1):
+        if tables[v + 1] is None:
+            rest[v] = back[v + 1]
+            if v in rest[v]:
+                joined[v] = True
+                rest[v] = [u for u in rest[v] if u != v]
     cbits, pbits = k.bit_length(), k + 1
     # allowed[maxc]: a brand-new color must be maxc + 1 (symmetry breaking)
     allowed = [(2 << min(maxc + 1, k)) - 2 for maxc in range(k + 1)]
     used = [0] * (k + 1)
     color = [0] * n
     # the stack, per depth v: colors not tried yet, back colors' mask, maxc,
-    # and for a tabled depth the entry state's key and the count before entry
+    # for a tabled depth the entry state's key and the count before entry,
+    # and where rest[v] is set its colors and the child's fixed forbidden part
     untried = [0] * n
     seen = [0] * n
     tops = [0] * n
     keys = [0] * n
     starts = [_NEVER] * n  # never written at an untabled depth
+    rms = [0] * n
+    fixed = [0] * n
     maxc = 0
     for v, c in enumerate(prefix):
         color[v] = c
@@ -248,35 +282,79 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
                 forbid |= used[cu]
             else:
                 cands = allowed[maxc] & ~(mask | forbid)
+        while True:
+            # v is entered with cands and mask, by the entry above or as a
+            # child found in O(1) below
             if cands:
                 seen[v] = mask
                 tops[v] = maxc
-        while not cands:
-            # v's subtree failed; one-node failures are cheaper to redo
-            if nodes > starts[v] + 1:
-                tables[v][keys[v]] = nodes - starts[v]
-            v -= 1
-            if v < start:
-                return SearchOutcome(INFEASIBLE, None, nodes, nodes - reused)
-            c = color[v]
-            bit = 1 << c
-            mask = seen[v]
+                if rest[v] is not None:
+                    # the part of the child's candidates that v's color
+                    # leaves alone; -1 when rest's colors repeat: a dead child
+                    rm = forbid = 0
+                    for u in rest[v]:
+                        cu = color[u]
+                        bit = 1 << cu
+                        if rm & bit:
+                            forbid = -1
+                            break
+                        rm |= bit
+                        forbid |= used[cu]
+                    rms[v] = rm
+                    fixed[v] = rm | forbid | (mask if joined[v] else 0)
+            while True:
+                while not cands:
+                    # v's subtree failed; one-node failures are cheaper to redo
+                    if nodes > starts[v] + 1:
+                        tables[v][keys[v]] = nodes - starts[v]
+                    v -= 1
+                    if v < start:
+                        return SearchOutcome(INFEASIBLE, None, nodes, nodes - reused)
+                    c = color[v]
+                    bit = 1 << c
+                    mask = seen[v]
+                    for u in back[v]:
+                        used[color[u]] ^= bit
+                    used[c] ^= mask
+                    cands = untried[v]
+                    maxc = tops[v]
+                bit = cands & -cands
+                cands ^= bit
+                c = bit.bit_length() - 1
+                if rest[v] is None or nodes + 1 >= check_at:
+                    child = -1  # the child goes through the entry above
+                    break
+                # the child's candidates after coloring v with c, which adds
+                # exactly the pairs {c, x} for x in mask
+                nodes += 1
+                rm = rms[v]
+                if joined[v]:
+                    child = 0 if rm & bit else allowed[c if c > maxc else maxc] & ~(
+                        fixed[v] | bit | used[c])
+                    child_mask = rm | bit
+                else:
+                    forbid = fixed[v]
+                    if rm & mask:
+                        forbid |= bit
+                    if rm & bit:
+                        forbid |= mask
+                    child = allowed[c if c > maxc else maxc] & ~forbid
+                    child_mask = rm
+                if child:
+                    break
+            # pairs are unique, so XOR sets them here and clears them on backtrack
+            untried[v] = cands
+            color[v] = c
             for u in back[v]:
                 used[color[u]] ^= bit
             used[c] ^= mask
-            cands = untried[v]
-            maxc = tops[v]
-        # pairs are unique, so XOR sets them here and clears them on backtrack
-        bit = cands & -cands
-        untried[v] = cands ^ bit
-        c = bit.bit_length() - 1
-        color[v] = c
-        for u in back[v]:
-            used[color[u]] ^= bit
-        used[c] ^= mask
-        if c > maxc:
-            maxc = c
-        v += 1
+            if c > maxc:
+                maxc = c
+            v += 1
+            if child < 0:
+                break
+            cands = child
+            mask = child_mask
 
 
 def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome:

@@ -1,16 +1,17 @@
 """One long exact search split across forked processes (Linux only).
 
-solver.exists_k calls run when its walk has paused after _SPLIT_AT nodes
-without reusing a failed subtree, which it allows only when more than one
-CPU can run it. The rest of the walk's tree arrives as prefix tasks in DFS
-order. run walks the shallowest task one node deep until there are
-_TASKS_PER_WORKER tasks per worker, forks one child per extra CPU, and
-searches every task with the same solver._search on its prefix, given the
-node budget left at the pause and the deadline. The parent takes the tasks
-in DFS order and the children the DFS-last ones nobody has claimed: the
-large shallow subtrees go to the children, and the parent meets a child's
-task only near the end (Rao & Kumar, "Parallel depth first search", IJPP
-1987).
+solver.exists_k calls run when its walk has paused after _SPLIT_AT = 2^12
+nodes without reusing a failed subtree, which it allows only when more than
+one CPU can run it: a long proof such as GP(10,3)'s at k = 9 (1.08M nodes)
+then runs on every CPU after its first 4,096 nodes. The rest of the
+walk's tree arrives as prefix tasks in DFS order. run walks the shallowest
+task one node deep until there are _TASKS_PER_WORKER tasks per worker,
+forks one child per extra CPU, and searches every task with the same
+solver._search on its prefix, given the node budget left at the pause and
+the deadline. The parent takes the tasks in DFS order and the children the
+DFS-last ones nobody has claimed: the large shallow subtrees go to the
+children, and the parent meets a child's task only near the end (Rao &
+Kumar, "Parallel depth first search", IJPP 1987).
 
 The results merge in DFS order. The nodes before a task in DFS order are
 the pause's nodes plus the counts of the entries before it, so the first

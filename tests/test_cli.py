@@ -342,8 +342,11 @@ def test_reproduce_raising_rows_fail(monkeypatch, capsys):
         ("crash", 5, _raise(RuntimeError("bug"))),
     ]
     monkeypatch.setattr("harmonium.cli._reproduce_rows", lambda: iter(rows))
-    code, out, _ = run(capsys, "reproduce", "--json")
+    code, out, err = run(capsys, "reproduce", "--json")
     assert code == EXIT_BUDGET
+    # a crashed row names its cause on stderr; a budget stop is an answer
+    assert "error: row crash raised:" in err and "RuntimeError: bug" in err
+    assert "budget" not in err and "Traceback" in err
     payload = json.loads(out)
     assert [sorted(r) for r in payload] == [
         ["computed", "elapsed", "expected", "graph_id", "ok"]] * 3
@@ -351,9 +354,10 @@ def test_reproduce_raising_rows_fail(monkeypatch, capsys):
     assert payload[1]["computed"] == "SKIPPED (BudgetExceeded)"
 
     monkeypatch.setattr("harmonium.cli._reproduce_rows", lambda: iter([rows[0], rows[2]]))
-    code, out, _ = run(capsys, "reproduce")
+    code, out, err = run(capsys, "reproduce")
     assert code == EXIT_CRASH
     assert "ERROR" in out and "MISMATCH" not in out
+    assert "error: row crash raised:" in err and "RuntimeError: bug" in err
 
 
 def test_reproduce_table_marks(monkeypatch, capsys):

@@ -182,6 +182,11 @@ SEARCH_TREES = {
               (1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7, 1, 2, 3)),
     "GP8-3": (generalized_petersen(8, 3), {8: ("witness", 153, 153)},
               (1, 2, 3, 1, 4, 2, 5, 6, 7, 7, 4, 8, 5, 6, 3, 8)),
+    # children both joined to their parent (a spoke) and not (the inner
+    # cycle's jumps), under the budget checks
+    "GP9-3": (generalized_petersen(9, 3),
+              {8: (INFEASIBLE, 43_228, 43_228), 9: ("witness", 198, 198)},
+              (1, 2, 3, 1, 4, 2, 5, 3, 6, 7, 6, 7, 8, 9, 9, 4, 8, 5)),
     "yutsis": (named("yutsis"),
                {7: (INFEASIBLE, 93, 93), 8: (INFEASIBLE, 146, 146), 9: ("witness", 54, 54)},
                (1, 2, 3, 4, 1, 5, 2, 4, 6, 7, 8, 9)),
@@ -205,6 +210,59 @@ def test_search_tree_is_unchanged(name):
     assert res.h == max(per_k) and res.witness.colors == witness
     assert res.nodes_explored == sum(nodes for _, nodes, _ in per_k.values())
     assert res.nodes_walked == sum(walked for _, _, walked in per_k.values())
+
+
+def reference_walk(g, k):
+    """(nodes, witness) of the plain search tree, by recursion: vertices in
+    index order, colors lowest first, a new color only as the largest so far
+    + 1, no tables; a graph with more edges than k colors have pairs is one
+    node."""
+    if g.m > k * (k - 1) // 2:
+        return 1, None
+    color, pairs, nodes = [0] * g.n, set(), 0
+
+    def walk(v, maxc):
+        nonlocal nodes
+        nodes += 1
+        if v == g.n:
+            return True
+        back = [color[u] for u in g.adj[v] if u < v]
+        for c in range(1, min(maxc + 1, k) + 1):
+            new = {frozenset((c, b)) for b in back}
+            if c in back or len(new) < len(back) or new & pairs:
+                continue
+            color[v] = c
+            pairs.update(new)
+            if walk(v + 1, max(maxc, c)):
+                return True
+            pairs.difference_update(new)
+        return False
+
+    found = walk(0, 0)
+    return nodes, tuple(color) if found else None
+
+
+def test_node_counts_match_a_plain_recursive_walk():
+    import random
+
+    from conftest import random_graph
+
+    rng = random.Random(18)
+    for _ in range(150):
+        g = random_graph(rng.randint(1, 11), rng.uniform(0.15, 0.7), rng)
+        for k in range(1, g.n + 1):
+            nodes, witness = reference_walk(g, k)
+            out = exists_k(g, k)
+            status = INFEASIBLE if witness is None else "witness"
+            assert (out.status, out.nodes_explored) == (status, nodes), (g.edges, k)
+            assert out.witness is None or out.witness.colors == witness
+            # one node short stops at that node; the tree's size finishes
+            short = exists_k(g, k, SolverConfig(node_budget=nodes - 1)) if nodes > 1 else None
+            assert short is None or (short.status, short.nodes_explored) == (
+                BUDGET_EXHAUSTED, nodes), (g.edges, k)
+            full = exists_k(g, k, SolverConfig(node_budget=nodes))
+            assert (full.status, full.nodes_explored, full.witness) == (
+                out.status, nodes, out.witness), (g.edges, k)
 
 
 def test_deep_search_needs_no_recursion():
@@ -415,6 +473,23 @@ def test_a_long_proof_splits_at_the_default_constants(cpus):
     out = exists_k(generalized_petersen(10, 3), 9)
     assert (out.status, out.nodes_explored) == (INFEASIBLE, 1_081_600)
     assert len(cpus.forks) == 1 and no_children_left()
+    # GP(9,3)'s 43,228-node proof splits after its first 4,096 nodes
+    g = generalized_petersen(9, 3)
+    cpus(1)
+    one = exists_k(g, 8)
+    cpus(2)
+    out = exists_k(g, 8)
+    assert (out.status, out.nodes_explored) == (one.status, one.nodes_explored) == (
+        INFEASIBLE, 43_228)
+    assert len(cpus.forks) == 2 and no_children_left()
+
+
+@linux_only
+def test_a_walk_whose_tables_pay_stays_in_one_process_at_the_default_constants(cpus):
+    cpus(2)
+    out = exists_k(cycle(20), 7)
+    assert (out.status, out.nodes_explored, out.nodes_walked) == (INFEASIBLE, 1_888_430, 47_034)
+    assert cpus.forks == []
 
 
 @linux_only
