@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 from .graph import Graph, closed_n2, diameter, stats
 
+#: The most vertices a 3-regular graph of diameter 3 can have (Moore bound).
+MOORE_CUBIC_DIAMETER3 = 1 + 3 + 6 + 12
+
 
 @dataclass(frozen=True)
 class Coloring:
@@ -84,10 +87,11 @@ class BoundsReport:
     """Lower bounds on the harmonious chromatic number, plus context.
 
     combined is the largest of size_bound, delta_bound, regular33_bound (7
-    for 3-regular diameter-3 graphs) and, for diameter at most 2, n. The
-    first two never exceed n, so on the empty graph they and combined are
-    0. The two upper-bound formulas are context only; the trivial upper
-    bound, n, is g.n itself.
+    for 3-regular diameter-3 graphs, None otherwise, including every cubic
+    graph on more than MOORE_CUBIC_DIAMETER3 vertices) and, for diameter
+    at most 2, n. The first two never exceed n, so on the empty graph they
+    and combined are 0. The two upper-bound formulas are context only; the
+    trivial upper bound, n, is g.n itself.
     """
 
     size_bound: int
@@ -104,8 +108,17 @@ def lower_bounds(g: Graph) -> BoundsReport:
     Two vertices within distance 2 of each other need different colors:
     adjacent ones because the coloring is proper, and two with a common
     neighbor w because equal colors would repeat a pair at w. So h = n
-    when every closed distance-2 ball is the whole vertex set. Only cubic
-    graphs that fail that test pay for the O(n·m) diameter.
+    when every closed distance-2 ball is the whole vertex set. A vertex of
+    degree n - 1 is a common neighbor of every two others, so then the
+    test holds without building the balls, in O(n) instead of O(n²).
+
+    The O(n·m) diameter runs only on cubic graphs with at most
+    MOORE_CUBIC_DIAMETER3 vertices that fail the distance-2 test. In a
+    cubic graph a vertex has 3 neighbors, and each vertex at distance i
+    has at most 2 neighbors at distance i + 1, so diameter 3 allows at most
+    1 + 3 + 6 + 12 = 22 vertices (the Moore bound; Hoffman & Singleton
+    1960). On every larger cubic graph regular33_bound is None without a
+    BFS, which is what the diameter would give there.
     """
     st = stats(g)
     delta = st.max_degree
@@ -114,9 +127,9 @@ def lower_bounds(g: Graph) -> BoundsReport:
         size_bound += 1
     size_bound = min(size_bound, g.n)
     delta_bound = min(delta + 1, g.n)
-    within2 = all(len(closed_n2(g, v)) == g.n for v in range(g.n))
-    cubic = all(d == 3 for d in st.degree_sequence)
-    regular33 = 7 if not within2 and cubic and diameter(g) == 3 else None
+    within2 = delta == g.n - 1 or all(len(closed_n2(g, v)) == g.n for v in range(g.n))
+    small_cubic = g.n <= MOORE_CUBIC_DIAMETER3 and all(d == 3 for d in st.degree_sequence)
+    regular33 = 7 if not within2 and small_cubic and diameter(g) == 3 else None
     combined = max(size_bound, delta_bound, g.n if within2 else 0, regular33 or 0)
     return BoundsReport(
         size_bound=size_bound,

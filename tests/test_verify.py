@@ -4,6 +4,7 @@ import random
 import pytest
 
 from harmonium import (
+    CATALOG,
     Coloring,
     diameter,
     from_edge_list,
@@ -14,7 +15,19 @@ from harmonium import (
     solve,
     stats,
 )
-from harmonium.families import complete, cycle, path, star
+from harmonium.families import complete, cycle, generalized_petersen, path, star, wheel
+from harmonium.verify import MOORE_CUBIC_DIAMETER3
+
+
+def random_cubic(n, rng):
+    """A configuration-model cubic graph on n vertices, redrawn until simple."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = list(zip(points[::2], points[1::2]))
+        edges = {(min(u, v), max(u, v)) for u, v in pairs}
+        if len(edges) == len(pairs) and all(u != v for u, v in edges):
+            return from_edge_list(n, edges)
 
 
 def test_all_distinct_is_harmonious(rng):
@@ -195,26 +208,69 @@ def test_degree_facts_and_bounds_need_no_bfs(monkeypatch):
     assert b.combined == b.size_bound == 21
     # cubic with diameter 2: the distance-2 test settles it without a diameter
     assert lower_bounds(named("petersen")).combined == 10
+    # cubic above the Moore bound for diameter 3: regular33 needs no diameter;
+    # GP(12,5) has 24 vertices, the first GP size above 22
+    for g in (generalized_petersen(500, 3), generalized_petersen(12, 5),
+              random_cubic(40, random.Random(40))):
+        assert g.n > MOORE_CUBIC_DIAMETER3
+        b = lower_bounds(g)
+        assert b.regular33_bound is None
+        assert b.combined == b.size_bound
+
+
+def test_a_hub_settles_the_distance_2_test_without_the_balls(monkeypatch):
+    def no_balls(g, v):
+        raise AssertionError("closed_n2 called")
+
+    monkeypatch.setattr("harmonium.verify.closed_n2", no_balls)
+    # every two vertices are within distance 2 through the vertex of degree n - 1
+    for g in (star(20000), wheel(20000)):
+        assert lower_bounds(g).combined == g.n
+
+
+def _bounds_by_definition(g, diam):
+    """(size, delta, regular33, combined) from the definitions and a BFS diameter."""
+    size = 1
+    while size * (size - 1) // 2 < g.m:
+        size += 1
+    delta_bound = max((g.degree(v) for v in range(g.n)), default=0) + 1
+    cubic = all(g.degree(v) == 3 for v in range(g.n))
+    regular33 = 7 if cubic and diam == 3 else None
+    # the empty graph needs no color at all
+    combined = max(size, delta_bound, g.n if 0 <= diam <= 2 else 0, regular33 or 0) if g.n else 0
+    return min(size, g.n), min(delta_bound, g.n), regular33, combined
+
+
+def _cubic_corpus():
+    """Every GP(n,k) with 2n <= 40, the catalog's cubic graphs, random cubic n = 4..40."""
+    yield from (generalized_petersen(n, k) for n in range(3, 21) for k in range(1, (n + 1) // 2))
+    for name in CATALOG:
+        g = named(name)
+        if all(g.degree(v) == 3 for v in range(g.n)):
+            yield g
+    rng = random.Random(2021)
+    for n in range(4, 41, 2):
+        yield from (random_cubic(n, rng) for _ in range(3))
 
 
 def test_combined_matches_the_definition(rng):
     from conftest import random_graph
 
     disconnected = 0
-    for i in range(200):
-        g = random_graph(i % 10, rng.uniform(0.0, 0.9), rng)
+    graphs = [random_graph(i % 10, rng.uniform(0.0, 0.9), rng) for i in range(200)]
+    cubic = list(_cubic_corpus())
+    cubic_diameter3 = []  # the sizes of the cubic inputs with diameter 3
+    for g in graphs + cubic:
         diam = diameter(g)
         disconnected += diam < 0
-        size = 1
-        while size * (size - 1) // 2 < g.m:
-            size += 1
-        cubic = all(g.degree(v) == 3 for v in range(g.n))
-        # the empty graph needs no color at all
-        expected = max(
-            size,
-            max((g.degree(v) for v in range(g.n)), default=0) + 1,
-            g.n if 0 <= diam <= 2 else 0,
-            7 if cubic and diam == 3 else 0,
-        ) if g.n else 0
-        assert lower_bounds(g).combined == expected
+        b = lower_bounds(g)
+        got = (b.size_bound, b.delta_bound, b.regular33_bound, b.combined)
+        expected = _bounds_by_definition(g, diam)
+        assert got == expected, (g.n, g.edges)
+        if expected[2] == 7:
+            cubic_diameter3.append(g.n)
     assert disconnected > 10
+    # the corpus spans both sides of the Moore bound, and no cubic graph on
+    # more than 22 vertices has diameter 3
+    assert len(cubic) > 150 and max(g.n for g in cubic) == 40
+    assert cubic_diameter3 and max(cubic_diameter3) <= MOORE_CUBIC_DIAMETER3
