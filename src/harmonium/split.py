@@ -1,38 +1,42 @@
 """One long exact search split across forked processes (Linux only).
 
 solver.exists_k calls run when its walk has paused after _SPLIT_AT = 2^12
-nodes without reusing a failed subtree, which it allows only when more than
-one CPU can run it: a long proof such as GP(10,3)'s at k = 9 (1.08M nodes)
-then runs on every CPU after its first 4,096 nodes. The rest of the
-walk's tree arrives as prefix tasks in DFS order. run walks the shallowest
-task one node deep until there are _TASKS_PER_WORKER tasks per worker,
-forks one child per extra CPU, and searches every task with the same
-solver._search on its prefix, given the node budget left at the pause and
-the deadline. The parent takes the tasks in DFS order and the children the
-DFS-last ones nobody has claimed: the large shallow subtrees go to the
-children, and the parent meets a child's task only near the end (Rao &
-Kumar, "Parallel depth first search", IJPP 1987).
+nodes without reusing a failed subtree and more than one CPU can run it,
+with the rest of the walk's tree as prefix tasks in DFS order. run walks
+the shallowest task one node deep until there are _TASKS_PER_WORKER tasks
+per worker; each task is then searched by the same solver._search on its
+prefix, given the node budget left at the pause and the deadline.
 
-The results merge in DFS order. The nodes before a task in DFS order are
-the pause's nodes plus the counts of the entries before it, so the first
-witness in DFS order, the count at which it is reached and the node at
-which a node budget stops are exactly those of the one-process walk. Only
-nodes_walked differs: it sums what every process walked and reported,
-work past the answer included, so it varies between runs and CPU counts.
+The task queue is one pipe. run writes every task id, 4 bytes little-endian
+in DFS order, in one write and closes the write end; only then does it fork
+one searcher per CPU. A searcher takes ids with 4-byte reads (_take) until
+a read finds the pipe empty. Linux serializes the reads of a pipe and every
+id is in it before any reader starts, so no read splits an id and no id is
+read twice. The write fits in select.PIPE_BUF bytes, which any pipe holds,
+so it cannot block with no reader: the expansion aims at no more than
+PIPE_BUF / 4 tasks, and where a pause leaves more (after a deep first walk,
+as on a long path ahead of a hard component) each id stands for a run of
+consecutive tasks.
 
-The processes share the claim counters through a memfd under a POSIX
-record lock, which the kernel drops when its holder dies, and each child
-writes one text line per finished task to its own pipe. The children keep SIGINT
-blocked and leave only through os._exit; the parent kills and reaps every
-child before run returns or raises. A child that exits without reporting
-a task the merge needs makes run raise RuntimeError, never return
-INFEASIBLE. solver imports this module only when a search splits, so
-none of it is compiled on the import path.
+The parent searches nothing after the expansion. It merges the reports in
+DFS order, so it returns a witness as soon as the tasks before it are
+reported, and the searchers, taking tasks in DFS order, reach those first.
+The nodes before a task are the pause's nodes plus the counts of the
+entries before it, so the first witness in DFS order, the count at which it
+is reached and the node at which a node budget stops are exactly those of
+the one-process walk. Only nodes_walked differs: it sums what every process
+walked and reported, work past the answer included, so it varies between
+runs and CPU counts.
+
+Each searcher writes one text line per finished task to its own pipe, keeps
+SIGINT blocked and leaves only through os._exit; the parent kills and reaps
+every searcher before run returns or raises. A searcher that exits without
+reporting a task the merge needs makes run raise RuntimeError, never return
+INFEASIBLE. solver imports this module only when a search splits.
 """
 
 from __future__ import annotations
 
-import fcntl
 import os
 import select
 import signal
@@ -50,24 +54,30 @@ def run(g: Graph, k: int, node_budget: int | None, deadline: float | None, nodes
         tasks: list[tuple[int, ...]], workers: int) -> SearchOutcome:
     """Finish a walk that paused after `nodes` nodes, with `tasks` (prefixes
     in DFS order) left, on `workers` processes; the outcome is the walk's."""
-    entries = _expand(g, k, tasks, _TASKS_PER_WORKER * workers)
+    fits = select.PIPE_BUF // 4  # 4-byte ids that one write puts in any pipe
+    entries = _expand(g, k, tasks, min(_TASKS_PER_WORKER * workers, fits))
     todo = [i for i, e in enumerate(entries) if isinstance(e, tuple)]
+    per = max(1, -(-len(todo) // fits))  # tasks per id: 1 unless there are more
+    runs = [todo[j:j + per] for j in range(0, len(todo), per)]
     walked = nodes + sum(e.nodes_walked for e in entries if not isinstance(e, tuple))
     left = None if node_budget is None else node_budget - nodes
-    claims = os.memfd_create("harmonium-claims")
+    queue, end = os.pipe()
     children: list[_Child] = []
     results: dict[int, SearchOutcome] = {}
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        os.write(claims, _pack(0, len(todo)))
-        for _ in range(min(workers, len(todo)) - 1):
+        try:
+            os.write(end, b"".join(j.to_bytes(4, "little") for j in range(len(runs))))
+        finally:
+            os.close(end)  # so a read past the last id returns empty and does not wait
+        for _ in range(min(workers, len(runs))):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:  # SIGINT stays blocked: the parent ends this process
                 code = 1
                 try:
                     os.close(r)
-                    _work(g, k, left, deadline, entries, todo, claims, w)
+                    _work(g, k, left, deadline, entries, runs, queue, w)
                     code = 0
                 finally:
                     os._exit(code)
@@ -75,14 +85,8 @@ def run(g: Graph, k: int, node_budget: int | None, deadline: float | None, nodes
             children.append(_Child(pid, r))
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         total, status, witness = nodes, INFEASIBLE, None
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, tuple):
-                out = entry
-            elif _claim(claims, back=False) is not None:
-                budget = None if node_budget is None else node_budget - total
-                out = solver._search(g, k, budget, deadline, entry, solver._NEVER)
-                walked += out.nodes_walked
-            else:
+        for i, out in enumerate(entries):
+            if isinstance(out, tuple):
                 while i not in results:
                     _receive(children, results, i)
                 out = results[i]
@@ -100,7 +104,7 @@ def run(g: Graph, k: int, node_budget: int | None, deadline: float | None, nodes
         try:
             for child in children:
                 child.close()
-            os.close(claims)
+            os.close(queue)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
@@ -124,38 +128,26 @@ def _expand(g: Graph, k: int, tasks: list[tuple[int, ...]],
             entries[i] = out
 
 
-def _pack(lo: int, hi: int) -> bytes:
-    return lo.to_bytes(8, "little") + hi.to_bytes(8, "little")
-
-
-def _claim(fd: int, back: bool) -> int | None:
-    """Claim the first (or, with back, the last) unclaimed position of the
-    task list; None when every task is claimed."""
-    fcntl.lockf(fd, fcntl.LOCK_EX)
-    try:
-        raw = os.pread(fd, 16, 0)
-        lo, hi = int.from_bytes(raw[:8], "little"), int.from_bytes(raw[8:], "little")
-        if lo == hi:
-            return None
-        os.pwrite(fd, _pack(lo, hi - 1) if back else _pack(lo + 1, hi), 0)
-        return hi - 1 if back else lo
-    finally:
-        fcntl.lockf(fd, fcntl.LOCK_UN)
+def _take(queue: int) -> int | None:
+    """The next id in the task queue, or None once it is empty."""
+    raw = os.read(queue, 4)
+    return int.from_bytes(raw, "little") if raw else None
 
 
 def _work(g: Graph, k: int, budget: int | None, deadline: float | None,
-          entries: list[tuple[int, ...] | SearchOutcome], todo: list[int], claims: int,
+          entries: list[tuple[int, ...] | SearchOutcome], runs: list[list[int]], queue: int,
           out_fd: int) -> None:
-    """A child's loop: search the DFS-last unclaimed task, report, repeat."""
-    while (j := _claim(claims, back=True)) is not None:
-        i = todo[j]
-        out = solver._search(g, k, budget, deadline, entries[i], solver._NEVER)
-        colors = out.witness.colors if out.witness else ()
-        line = " ".join(map(str, (i, out.status, out.nodes_explored, out.nodes_walked,
-                                  *colors)))
-        data = f"{line}\n".encode()
-        while data:
-            data = data[os.write(out_fd, data):]
+    """A searcher's loop: take the next id, search its run of tasks and
+    report each one, until the queue is empty."""
+    while (j := _take(queue)) is not None:
+        for i in runs[j]:
+            out = solver._search(g, k, budget, deadline, entries[i], solver._NEVER)
+            colors = out.witness.colors if out.witness else ()
+            line = " ".join(map(str, (i, out.status, out.nodes_explored, out.nodes_walked,
+                                      *colors)))
+            data = f"{line}\n".encode()
+            while data:
+                data = data[os.write(out_fd, data):]
 
 
 class _Child:
@@ -175,7 +167,7 @@ class _Child:
 
 
 def _receive(children: list[_Child], results: dict[int, SearchOutcome], need: int) -> None:
-    """Wait until a child reports or exits, and store what it reported."""
+    """Wait until a searcher reports or exits, and store what it reported."""
     live = {c.fd: c for c in children if c.fd >= 0}
     if not live:
         raise RuntimeError(f"the search process holding task {need} exited without its result")

@@ -472,7 +472,7 @@ def test_a_long_proof_splits_at_the_default_constants(cpus):
     cpus(2)
     out = exists_k(generalized_petersen(10, 3), 9)
     assert (out.status, out.nodes_explored) == (INFEASIBLE, 1_081_600)
-    assert len(cpus.forks) == 1 and no_children_left()
+    assert len(cpus.forks) == 2 and no_children_left()  # one searcher per CPU
     # GP(9,3)'s 43,228-node proof splits after its first 4,096 nodes
     g = generalized_petersen(9, 3)
     cpus(1)
@@ -481,7 +481,7 @@ def test_a_long_proof_splits_at_the_default_constants(cpus):
     out = exists_k(g, 8)
     assert (out.status, out.nodes_explored) == (one.status, one.nodes_explored) == (
         INFEASIBLE, 43_228)
-    assert len(cpus.forks) == 2 and no_children_left()
+    assert len(cpus.forks) == 4 and no_children_left()
 
 
 @linux_only
@@ -536,17 +536,17 @@ def test_a_child_without_a_result_is_an_error(cpus, monkeypatch, how):
     import harmonium.solver as s
     import harmonium.split as split
 
-    def claim_and_quit(g, k, budget, deadline, entries, todo, claims, out_fd):
-        split._claim(claims, back=True)
+    def take_and_quit(g, k, budget, deadline, entries, runs, queue, out_fd):
+        split._take(queue)
         if how == "raises":
             raise MemoryError
 
     cpus(2)
     monkeypatch.setattr(s, "_SPLIT_AT", 1000)
-    monkeypatch.setattr(split, "_work", claim_and_quit)
+    monkeypatch.setattr(split, "_work", take_and_quit)
     with pytest.raises(RuntimeError, match="search process"):
         exists_k(generalized_petersen(9, 3), 8)
-    assert len(cpus.forks) == 1 and no_children_left()
+    assert len(cpus.forks) == 2 and no_children_left()
 
 
 @linux_only
@@ -563,4 +563,53 @@ def test_no_child_outlives_a_split_search(cpus, monkeypatch, g, k, cfg, status):
     monkeypatch.setattr(s, "_SPLIT_AT", 64)
     out = exists_k(g, k, cfg)
     assert out.status == status
-    assert len(cpus.forks) == 1 and no_children_left()
+    assert len(cpus.forks) == 2 and no_children_left()
+
+
+def path_then(tail, g):
+    """A path on vertices 0..tail-1, then g: a first walk runs down the path
+    and leaves each vertex's untried colors behind as tasks."""
+    edges = [(i, i + 1) for i in range(tail - 1)] + [(tail + u, tail + v) for u, v in g.edges]
+    return from_edge_list(tail + g.n, edges)
+
+
+@linux_only
+@pytest.mark.parametrize("g, k, budget, tasks_per_worker, paused_tasks", [
+    (generalized_petersen(9, 3), 8, None, 1 << 12, None),
+    (path_then(120, generalized_petersen(10, 3)), 20, 30_000, 32, 1_045),
+], ids=["expansion", "pause"])
+def test_a_task_queue_past_pipe_buf_is_the_one_process_walk(cpus, monkeypatch, g, k, budget,
+                                                             tasks_per_worker, paused_tasks):
+    """More tasks than 4-byte ids fit in PIPE_BUF bytes, from an expansion
+    asked for 8,192 or from the pause itself. A write that blocked before the
+    fork would hang: the alarm fails the test instead."""
+    import select
+    import signal
+
+    import harmonium.solver as s
+    import harmonium.split as split
+
+    cfg = SolverConfig(node_budget=budget)
+    cpus(1)
+    one = exists_k(g, k, cfg)
+    cpus(2)
+    monkeypatch.setattr(split, "_TASKS_PER_WORKER", tasks_per_worker)
+    if paused_tasks:
+        nodes, tasks = s._search(g, k, None, None, pause=s._SPLIT_AT)
+        assert len(tasks) == paused_tasks and 4 * paused_tasks > select.PIPE_BUF
+    else:
+        assert 4 * 2 * tasks_per_worker > select.PIPE_BUF
+
+    def hang(signum, frame):
+        raise TimeoutError("the split search did not finish")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(120)
+    try:
+        out = exists_k(g, k, cfg)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert (out.status, out.witness, out.nodes_explored) == (
+        one.status, one.witness, one.nodes_explored)
+    assert len(cpus.forks) == 2 and no_children_left()
