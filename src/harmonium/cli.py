@@ -29,7 +29,7 @@ import time
 from dataclasses import asdict
 
 from . import catalog, constructive, families, heuristics, reduction
-from .graph import Graph, _int_pair, _rows, diameter, emit_edge_list, parse_edge_list, stats
+from .graph import Graph, _int_pairs, _rows, diameter, emit_edge_list, parse_edge_list, stats
 from .solver import BUDGET_EXHAUSTED, BudgetExceeded, SolverConfig, exists_k, solve
 from .verify import Coloring, is_harmonious, lower_bounds
 
@@ -78,9 +78,8 @@ def load_coloring(path: str, n: int) -> Coloring:
     """Coloring file: one `vertex color` pair per line, # comments ok."""
     colors: dict[int, int] = {}
     with open(path) as fh:
-        rows = _rows(fh.read())
-    for row in rows:
-        v, c = _int_pair(row, "v c")
+        pairs = _int_pairs(_rows(fh.read()), "v c")
+    for v, c in pairs:
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} outside 0..{n - 1}")
         if v in colors:
@@ -90,7 +89,8 @@ def load_coloring(path: str, n: int) -> Coloring:
         colors[v] = c
     if len(colors) < n:
         missing = [v for v in range(n) if v not in colors]
-        raise ValueError(f"coloring is partial; missing vertices {missing}")
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise ValueError(f"coloring is partial; missing vertices {missing[:5]}{more}")
     return Coloring(tuple(colors[v] for v in range(n)))
 
 

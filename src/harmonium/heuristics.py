@@ -26,24 +26,41 @@ class VertexCoverResult:
         return len(self.cover)
 
 
-def _first_fit(partners: list[int], nbr_colors: list[int], forbid: int) -> int:
-    """Lowest color > 0 outside forbid, the neighbor colors and their
-    partners; records its new pairs both ways in partners and returns it.
-    A repeated neighbor color would leave no harmonious color at all.
+def _first_fit(g: Graph, order: list[int], colors: list[int], partners: list[int],
+               blocked: list[int]) -> None:
+    """Give each vertex v of order, in turn, the lowest color > 0 outside
+    blocked[v], its colored neighbors' colors and their partners, and
+    record its new pairs both ways in partners. A repeated neighbor color
+    would leave no harmonious color at all, so it raises.
+
+    Coloring v with c also blocks c at each uncolored vertex w two steps
+    away through an uncolored middle x: once x is colored, w taking c would
+    give x two neighbors of color c.
     """
-    seen = 0
-    for cu in nbr_colors:
-        bit = 1 << cu
-        if seen & bit:
-            raise RuntimeError(f"neighbor color {cu} repeats; no color can be harmonious")
-        seen |= bit
-        forbid |= partners[cu]
-    forbid |= seen | 1
-    c = (~forbid & (forbid + 1)).bit_length() - 1
-    partners[c] |= seen
-    for cu in nbr_colors:
-        partners[cu] |= 1 << c
-    return c
+    adj = g.adj
+    for v in order:
+        seen = 0
+        forbid = blocked[v] | 1
+        for u in adj[v]:
+            cu = colors[u]
+            if cu:
+                bit = 1 << cu
+                if seen & bit:
+                    raise RuntimeError(f"neighbor color {cu} repeats; no color can be harmonious")
+                seen |= bit
+                forbid |= partners[cu]
+        forbid |= seen
+        c = colors[v] = (~forbid & (forbid + 1)).bit_length() - 1
+        partners[c] |= seen
+        bit = 1 << c
+        for x in adj[v]:
+            cx = colors[x]
+            if cx:
+                partners[cx] |= bit
+            else:
+                for w in adj[x]:
+                    if not colors[w]:  # v itself is colored by now
+                        blocked[w] |= bit
 
 
 def greedy(g: Graph, order: list[int]) -> Coloring:
@@ -59,17 +76,8 @@ def greedy(g: Graph, order: list[int]) -> Coloring:
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of 0..n-1")
     colors = [0] * g.n
-    partners = [0] * (g.n + 1)  # first-fit never needs a color above n
-    # colors held by a vertex two steps away through a then-uncolored middle
-    blocked = [0] * g.n
-    for v in order:
-        nbr_colors = [colors[u] for u in g.adj[v] if colors[u] > 0]
-        c = colors[v] = _first_fit(partners, nbr_colors, blocked[v])
-        for x in g.adj[v]:
-            if colors[x] == 0:
-                for w in g.adj[x]:
-                    if w != v and colors[w] == 0:
-                        blocked[w] |= 1 << c
+    # first-fit never needs a color above n
+    _first_fit(g, order, colors, [0] * (g.n + 1), [0] * g.n)
     return Coloring(tuple(colors))
 
 
@@ -170,11 +178,11 @@ def vc_coloring(g: Graph, cover: VertexCoverResult) -> Coloring:
         if colors[u] and colors[v]:
             partners[colors[u]] |= 1 << colors[v]
             partners[colors[v]] |= 1 << colors[u]
-    cover_colors = (1 << (cover.size + 1)) - 1
-    for v in range(g.n):
-        if colors[v]:
-            continue
-        colors[v] = _first_fit(partners, [colors[u] for u in g.adj[v]], cover_colors)
+    rest = [v for v in range(g.n) if not colors[v]]
+    # a vertex outside the cover has only colored neighbors, so first-fit
+    # blocks nothing, and each one avoids the cover's colors
+    _first_fit(g, rest, colors, partners, [(1 << (cover.size + 1)) - 1] * g.n)
+    for v in rest:
         if colors[v] > top:
             raise AssertionError(f"no color for vertex {v} within VC + D^2 - D + 1 = {top}")
     return Coloring(tuple(colors))

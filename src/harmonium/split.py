@@ -114,18 +114,28 @@ def _expand(g: Graph, k: int, tasks: list[tuple[int, ...]],
     """The rest of the tree as entries in DFS order: a prefix to search, or
     the outcome of a node already walked. The last of the shallowest
     prefixes is walked one node deep, its root becoming a one-node entry
-    before its children, until `want` prefixes are left or none."""
+    before its children, until `want` prefixes are left or none.
+
+    Children are deeper than their root and a splice at i leaves the entries
+    before i where they were, so the shallowest prefixes are found with one
+    scan per prefix length and walked from last to first.
+    """
     entries: list[tuple[int, ...] | SearchOutcome] = list(tasks)
-    while True:
-        todo = [i for i, e in enumerate(entries) if isinstance(e, tuple)]
-        if not todo or len(todo) >= want:
-            return entries
-        i = min(reversed(todo), key=lambda i: len(entries[i]))
-        out = solver._search(g, k, None, None, entries[i], 1)
-        if isinstance(out, tuple):  # paused below its root
-            entries[i:i + 1] = [SearchOutcome(INFEASIBLE, None, out[0], out[0]), *out[1]]
-        else:  # a leaf, or a root without candidates
-            entries[i] = out
+    left = len(entries)  # prefixes among the entries
+    while 0 < left < want:
+        depth = min(len(e) for e in entries if isinstance(e, tuple))
+        shallowest = [i for i, e in enumerate(entries) if isinstance(e, tuple) and len(e) == depth]
+        for i in reversed(shallowest):
+            if left >= want:
+                break
+            out = solver._search(g, k, None, None, entries[i], 1)
+            if isinstance(out, tuple):  # paused below its root
+                entries[i:i + 1] = [SearchOutcome(INFEASIBLE, None, out[0], out[0]), *out[1]]
+                left += len(out[1]) - 1
+            else:  # a leaf, or a root without candidates
+                entries[i] = out
+                left -= 1
+    return entries
 
 
 def _take(queue: int) -> int | None:

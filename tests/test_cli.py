@@ -145,8 +145,12 @@ def test_check_ok_and_mismatch(tmp_path, capsys):
 def test_load_coloring_partial_rejected(tmp_path):
     f = tmp_path / "c.coloring"
     f.write_text("0 1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^coloring is partial; missing vertices \[1\]$"):
         load_coloring(str(f), 2)
+    # on 4,000 vertices the message gives the first five missing and a count, not 20 KB
+    with pytest.raises(ValueError) as error:
+        load_coloring(str(f), 4000)
+    assert str(error.value) == "coloring is partial; missing vertices [1, 2, 3, 4, 5] and 3994 more"
     f.write_text("0 1\n2 2\n")
     with pytest.raises(ValueError, match=r"vertex 2 outside 0\.\.1"):
         load_coloring(str(f), 2)

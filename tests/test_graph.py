@@ -38,6 +38,9 @@ def test_edges_are_one_ascending_tuple(rng):
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
         from_edge_list(4, [(0, 0)])
+    # pairs that can be read only once are still named in their given order
+    with pytest.raises(ValueError, match=r"^self-loop \(2,2\) not allowed$"):
+        from_edge_list(4, iter([(0, 1), (2, 2), (1, 9)]))
 
 
 def test_out_of_range_rejected():
@@ -167,8 +170,23 @@ def test_parse_comments_and_errors():
         parse_edge_list("")
     with pytest.raises(ValueError, match="2 declared, 1 distinct"):
         parse_edge_list("3 2\n0 1\n1 0\n")
-    # a line that is not exactly two integers is named in the error
-    for text, line in [("3 1\n0\n", "'u v', got '0'"), ("3 1\n0 1 2\n", "'u v', got '0 1 2'"),
-                       ("3 1\n0 x\n", "'u v', got '0 x'"), ("3\n", "'n m', got '3'")]:
-        with pytest.raises(ValueError, match=line):
-            parse_edge_list(text)
+    # CRLF line ends, tabs, an indented comment and trailing blank lines change nothing
+    text = "# a triangle\r\n3 3\r\n0\t1\r\n  # indented\r\n1  2\t\r\n\t0 2\r\n\r\n\n \t\n"
+    assert parse_edge_list(text) == g and parse_edge_list(text).adj == g.adj
+    # a line that is not exactly two integers is named in the error, and a bad
+    # pair is named as given, the first in file order
+    for text, message in [
+        ("3 1\n0\n", "expected a line 'u v', got '0'"),
+        ("3 1\n0 1 2\n", "expected a line 'u v', got '0 1 2'"),
+        ("3 1\n0 x\n", "expected a line 'u v', got '0 x'"),
+        ("3 2\n0\t1\t2\n0 x\n", "expected a line 'u v', got '0 1 2'"),
+        ("3 2\n0 1\n  2 y  \n", "expected a line 'u v', got '2 y'"),
+        ("3\n", "expected a line 'n m', got '3'"),
+        ("3 2\n1 1\n0 5\n", "self-loop (1,1) not allowed"),
+        ("3 2\n0 1\n5 2\n", "edge (5,2) has endpoint outside 0..2"),
+        ("3 1\n-1 2\n", "edge (-1,2) has endpoint outside 0..2"),
+    ]:
+        for form in (text, text.replace("\n", "\r\n"), text + "\n\n"):
+            with pytest.raises(ValueError) as error:
+                parse_edge_list(form)
+            assert str(error.value) == message

@@ -74,14 +74,20 @@ def test_heuristic_colorings_are_pinned():
 
 
 def test_first_fit_takes_the_lowest_free_color_and_records_its_pairs():
-    partners = [0, 0b0100, 0b0010, 0, 0, 0]
-    assert _first_fit(partners, [1, 2], 0b1000) == 4
+    # vertex 2 sees colors 1 and 2, already paired, and has 3 blocked; 3 -- 4 is uncolored
+    g = from_edge_list(5, [(0, 2), (1, 2), (2, 3), (3, 4)])
+    colors, partners, blocked = [1, 2, 0, 0, 0], [0, 0b0100, 0b0010, 0, 0, 0], [0, 0, 0b1000, 0, 0]
+    _first_fit(g, [2], colors, partners, blocked)
+    assert colors == [1, 2, 4, 0, 0]
     assert partners == [0, 0b10100, 0b10010, 0, 0b00110, 0]
+    # 4 is two steps from 2 through the uncolored 3, so it may not take color 4
+    assert blocked == [0, 0, 0b1000, 0, 0b10000]
 
 
 def test_first_fit_rejects_a_repeated_neighbor_color():
+    g = star(3)
     with pytest.raises(RuntimeError, match="neighbor color 2 repeats"):
-        _first_fit([0] * 5, [1, 2, 2], 0)
+        _first_fit(g, [0], [0, 1, 2, 2], [0] * 5, [0] * 4)
 
 
 def test_greedy_rejects_non_permutation():

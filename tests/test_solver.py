@@ -613,3 +613,36 @@ def test_a_task_queue_past_pipe_buf_is_the_one_process_walk(cpus, monkeypatch, g
     assert (out.status, out.witness, out.nodes_explored) == (
         one.status, one.witness, one.nodes_explored)
     assert len(cpus.forks) == 2 and no_children_left()
+
+
+def _expand_by_rescans(g, k, tasks, want):
+    """_expand as it was first written, rescanning every entry for the last
+    shallowest prefix before each step: the reference for its entries."""
+    import harmonium.solver as s
+
+    entries = list(tasks)
+    while True:
+        todo = [i for i, e in enumerate(entries) if isinstance(e, tuple)]
+        if not todo or len(todo) >= want:
+            return entries
+        i = min(reversed(todo), key=lambda i: len(entries[i]))
+        out = s._search(g, k, None, None, entries[i], 1)
+        if isinstance(out, tuple):
+            entries[i:i + 1] = [s.SearchOutcome(INFEASIBLE, None, out[0], out[0]), *out[1]]
+        else:
+            entries[i] = out
+
+
+@pytest.mark.parametrize("g, k", [(generalized_petersen(9, 3), 8),
+                                  (generalized_petersen(10, 3), 9),
+                                  (path_then(120, generalized_petersen(10, 3)), 20)],
+                         ids=["GP(9,3)", "GP(10,3)", "path then GP(10,3)"])
+@pytest.mark.parametrize("want", [64, 1024])
+def test_expand_scans_once_per_prefix_length(g, k, want):
+    import harmonium.solver as s
+    import harmonium.split as split
+
+    _, tasks = s._search(g, k, None, None, pause=s._SPLIT_AT)
+    entries = split._expand(g, k, tasks, want)
+    assert entries == _expand_by_rescans(g, k, tasks, want)
+    assert sum(isinstance(e, tuple) for e in entries) >= want

@@ -16,7 +16,7 @@ from harmonium import (
     stats,
 )
 from harmonium.families import complete, cycle, generalized_petersen, path, star, wheel
-from harmonium.verify import MOORE_CUBIC_DIAMETER3
+from harmonium.verify import MOORE_CUBIC_DIAMETER3, Verdict
 
 
 def random_cubic(n, rng):
@@ -88,22 +88,42 @@ def test_pair_table_from_solver_witness():
     assert is_harmonious(g, res.witness).ok
 
 
+def _table_verdict(g, c):
+    """The oracle: each unordered color pair -> the edges carrying it, in
+    ascending order. The first violation is the first edge that is
+    monochromatic or not the first to carry its pair."""
+    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for u, v in g.edges:
+        a, b = c.colors[u], c.colors[v]
+        table.setdefault((min(a, b), max(a, b)), []).append((u, v))
+    for u, v in g.edges:
+        a, b = c.colors[u], c.colors[v]
+        pair = (min(a, b), max(a, b))
+        if a == b:
+            return Verdict("not_proper", edge=(u, v))
+        if table[pair][0] != (u, v):
+            return Verdict("pair_repeated", pair=pair, edge=table[pair][0], other_edge=(u, v))
+    return Verdict("ok")
+
+
 def test_verdict_equivalent_to_table(rng):
     from conftest import random_graph
 
-    for _ in range(100):
-        g = random_graph(rng.randint(2, 9), rng.uniform(0.2, 0.7), rng)
-        k = rng.randint(1, g.n)
-        c = Coloring(tuple(rng.randint(1, k) for _ in range(g.n)))
-        # the oracle: each unordered color pair -> the edges carrying it
-        table: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for u, v in g.edges:
-            a, b = c.colors[u], c.colors[v]
-            table.setdefault((min(a, b), max(a, b)), []).append((u, v))
-        table_ok = all(len(v) == 1 for v in table.values()) and not any(
-            a == b for a, b in table
-        )
-        assert is_harmonious(g, c).ok == table_ok
+    late = 0
+    for i in range(300):
+        if i < 100:
+            g = random_graph(rng.randint(2, 9), rng.uniform(0.2, 0.7), rng)
+            k = rng.randint(1, g.n)
+            c = Coloring(tuple(rng.randint(1, k) for _ in range(g.n)))
+        else:  # up to 40 vertices, all but one with their own color: a late violation
+            g = random_graph(rng.randint(10, 40), rng.uniform(0.05, 0.5), rng)
+            colors = list(range(1, g.n + 1))
+            colors[rng.randrange(g.n)] = rng.randint(1, g.n)
+            c = Coloring(tuple(colors))
+        verdict = is_harmonious(g, c)
+        assert verdict == _table_verdict(g, c), (g.edges, c.colors)
+        late += not verdict.ok and g.edges.index(verdict.other_edge or verdict.edge) >= 20
+    assert late > 50  # 85 of the 200
 
 
 def test_bounds_k4():
