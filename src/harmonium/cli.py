@@ -29,7 +29,8 @@ import time
 from dataclasses import asdict
 
 from . import catalog, constructive, families, heuristics, reduction
-from .graph import Graph, _int_pairs, _rows, diameter, emit_edge_list, parse_edge_list, stats
+from .graph import (Graph, _collector_paused, _int_pair, _int_pairs, _rows, diameter, emit_edge_list,
+                    parse_edge_list, stats)
 from .solver import BUDGET_EXHAUSTED, BudgetExceeded, SolverConfig, exists_k, solve
 from .verify import Coloring, is_harmonious, lower_bounds
 
@@ -74,11 +75,16 @@ def load_graph(spec: str) -> Graph:
         return parse_edge_list(fh.read())
 
 
+@_collector_paused
 def load_coloring(path: str, n: int) -> Coloring:
-    """Coloring file: one `vertex color` pair per line, # comments ok."""
+    """Coloring file: one `vertex color` pair per line, # comments ok.
+    Read with the collector paused, as parse_edge_list is."""
     colors: dict[int, int] = {}
     with open(path) as fh:
-        pairs = _int_pairs(_rows(fh.read()), "v c")
+        text = fh.read()
+    pairs = _int_pairs(text)
+    if pairs is None:
+        pairs = [_int_pair(row, "v c") for row in _rows(text)]  # raises on the first bad line
     for v, c in pairs:
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} outside 0..{n - 1}")

@@ -5,16 +5,23 @@ pairs (u, v) with u < v, the only edge order any caller sees, and as
 per-vertex sorted neighbor tuples; neighbor iteration order is ascending
 id, which downstream greedy code relies on for determinism.
 
-Parsing and building make a few bulk passes over the lines and pairs and
-one sort of the edges, with no Python call per line or per pair; stats is
-O(n), closed_n2 O(deg(v)·Δ) and diameter O(n·m).
+Parsing and building make a few passes over the lines and pairs and one
+sort of the edges; stats is O(n), closed_n2 O(deg(v)·Δ) and diameter
+O(n·m). Parsing and building run with the cyclic garbage collector paused
+(its previous state is restored however they end). Everything they
+allocate is acyclic: strings, ints, pair tuples and the lists and tuples
+that hold them, all freed by reference counting, so a collection there
+could free nothing. Yet each allocated container counts towards the next
+collection, and a 6,000-line parse triggered about 40 of them, each
+walking every tracked object of the young generation.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import wraps
 from operator import eq
 from typing import Iterable
 
@@ -44,21 +51,42 @@ class GraphStats:
     degree_sequence: tuple[int, ...]
 
 
+def _collector_paused(build):
+    """Wrap build so that it runs with the cyclic garbage collector paused
+    and the collector's previous state restored in a finally (see the
+    module docstring for why a collection there frees nothing)."""
+    @wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from (possibly duplicated) vertex-id pairs.
 
     Rejects self-loops and out-of-range ids; duplicate pairs collapse.
-    One pass puts each pair low end first, a sort and dict.fromkeys leave
-    the distinct edges ascending, bulk min, max and equality checks over
+    One pass puts each pair low end first (a tuple pair already in that
+    order is kept, not rebuilt), a sort and dict.fromkeys leave the
+    distinct edges ascending, bulk min, max and equality checks over
     their ends validate them, and one pass fills the neighbor lists:
     O(m log m), and linear on pairs already in order, as emit_edge_list
     writes them. Only if a check fails are the pairs walked again, in
-    their given order, to name the first bad one.
+    their given order, to name the first bad one. The collector is paused
+    throughout (module docstring).
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     pairs = list(pairs)
-    edges = tuple(dict.fromkeys(sorted([(u, v) if u < v else (v, u) for u, v in pairs])))
+    # tuple(p) is p itself when p is a tuple
+    edges = tuple(dict.fromkeys(sorted([tuple(p) if u < v else (v, u)
+                                        for p in pairs for u, v in (p,)])))
     if edges:
         low, high = zip(*edges)
         if low[0] < 0 or max(high) >= n or any(map(eq, low, high)):
@@ -125,40 +153,47 @@ def _int_pair(tokens: list[str], form: str) -> tuple[int, int]:
     return a, b
 
 
-def _rows(text: str) -> list[list[str]]:
-    """The tokens of each line that is neither blank nor a `#` comment."""
-    return [row for row in map(str.split, text.splitlines()) if row and row[0][0] != "#"]
+def _rows(text: str) -> Iterable[list[str]]:
+    """The tokens of each line that is neither blank nor a `#` comment,
+    one line at a time."""
+    return (row for row in map(str.split, text.splitlines()) if row and row[0][0] != "#")
 
 
-def _int_pairs(rows: list[list[str]], form: str) -> list[tuple[int, int]]:
-    """The two integers of every row, in one bulk conversion; only if it
-    fails are the rows converted one by one, which raises ValueError
-    naming the first that is not two integers."""
-    if set(map(len, rows)) <= {2}:
-        ints = map(int, chain.from_iterable(rows))
-        try:
-            return list(zip(ints, ints))
-        except ValueError:
-            pass
-    return [_int_pair(row, form) for row in rows]
+def _int_pairs(text: str) -> list[tuple[int, int]] | None:
+    """The two integers of every row of text, or None if some row is not
+    exactly two integers. Each line is split and converted as it is read,
+    so no token list outlives its line, and each pair tuple is built once.
+    """
+    try:
+        return [(int(a), int(b)) for a, b in _rows(text)]
+    except ValueError:  # a row of another length, or a token that is no integer
+        return None
 
 
+@_collector_paused
 def parse_edge_list(text: str) -> Graph:
     """Parse the canonical on-disk format: `n m` header then `u v` lines.
 
     Lines starting with `#` are comments and ignored. Every other line
     must be exactly two integers; a line that is not raises ValueError
-    naming it. Splitting the lines and converting their integers are one
-    bulk pass each, with no Python call per line, and from_edge_list builds
-    the graph: O(m log m) in all, linear on a file in ascending edge order.
+    naming it. One pass over the lines converts them to pairs and
+    from_edge_list builds the graph: O(m log m) in all, linear on a file
+    in ascending edge order. Only if some line is not two integers are the
+    lines read again and kept, to report the first fault in this order:
+    empty input, the header, the edge count, the first bad line. The
+    collector is paused throughout, because everything a parse allocates
+    is acyclic, so a collection could free nothing (module docstring).
     """
-    rows = _rows(text)
+    pairs = _int_pairs(text)
+    rows = list(_rows(text)) if pairs is None else pairs
     if not rows:
         raise ValueError("empty edge-list input")
-    n, m = _int_pair(rows[0], "n m")
+    n, m = _int_pair(rows[0], "n m") if pairs is None else pairs[0]
     if len(rows) - 1 != m:
         raise ValueError(f"header declares {m} edges, found {len(rows) - 1}")
-    g = from_edge_list(n, _int_pairs(rows[1:], "u v"))
+    if pairs is None:
+        pairs = [_int_pair(row, "u v") for row in rows]  # raises on the first bad line
+    g = from_edge_list(n, pairs[1:])
     if g.m != m:
         raise ValueError(f"edge list contains duplicates: {m} declared, {g.m} distinct")
     return g

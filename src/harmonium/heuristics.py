@@ -4,6 +4,16 @@ exact vertex-cover / independent-set searches the reduction leans on.
 Both colorings give a vertex the lowest color, outside a forbidden mask,
 that repeats no pair with its neighbors' colors: one first-fit over
 partner bitmasks, partners[c] holding the colors already paired with c.
+
+Greedy also keeps the distance-2 rule, checked at the vertex v being
+colored: color c is excluded when a colored vertex w of color c shares an
+uncolored neighbor x with v. This forbids the same colors as blocking c,
+when w is colored, at every uncolored vertex two steps from w through an
+uncolored x. Take such an x. If x is still uncolored when v is colored,
+the check at v sees c directly, in the mask of x's colored neighbors'
+colors. If x was colored in between, w was already a colored neighbor of
+x then, so c is a partner of x's color, and v's forbid takes in the
+partners of its colored neighbors' colors.
 """
 
 from __future__ import annotations
@@ -27,40 +37,50 @@ class VertexCoverResult:
 
 
 def _first_fit(g: Graph, order: list[int], colors: list[int], partners: list[int],
-               blocked: list[int]) -> None:
-    """Give each vertex v of order, in turn, the lowest color > 0 outside
-    blocked[v], its colored neighbors' colors and their partners, and
+               base: int) -> None:
+    """Give each vertex v of order, in turn, the lowest color outside base
+    (which holds bit 0), its colored neighbors' colors and their partners,
+    and the colors of the colored neighbors of its uncolored neighbors, and
     record its new pairs both ways in partners. A repeated neighbor color
     would leave no harmonious color at all, so it raises.
 
-    Coloring v with c also blocks c at each uncolored vertex w two steps
-    away through an uncolored middle x: once x is colored, w taking c would
-    give x two neighbors of color c.
+    The last set is the distance-2 rule (module docstring): a colored w of
+    color c next to an uncolored neighbor x of v would give x two
+    neighbors of color c once v took c. around[x] holds the colors of x's
+    colored neighbors for every uncolored x, so v reads one mask per
+    uncolored neighbor, and coloring v adds its color to the masks of its
+    uncolored neighbors. A color in around[x] is never given to another
+    neighbor of x, so only colors given before the call can repeat there.
     """
     adj = g.adj
+    around = [0] * g.n
+    if any(colors):  # with nothing colored yet, as in greedy, every mask is 0
+        for x in range(g.n):
+            if not colors[x]:
+                for w in adj[x]:
+                    cw = colors[w]
+                    if cw:
+                        bit = 1 << cw
+                        if around[x] & bit:
+                            raise RuntimeError(f"neighbor color {cw} repeats; "
+                                               "no color can be harmonious")
+                        around[x] |= bit
     for v in order:
-        seen = 0
-        forbid = blocked[v] | 1
+        seen = around[v]
+        forbid = base | seen
+        for u in adj[v]:
+            cu = colors[u]
+            forbid |= partners[cu] if cu else around[u]
+        # forbid ^ (forbid + 1) is a run of ones up to its lowest clear bit
+        c = colors[v] = (forbid ^ (forbid + 1)).bit_length() - 1
+        partners[c] |= seen
+        bit = 1 << c
         for u in adj[v]:
             cu = colors[u]
             if cu:
-                bit = 1 << cu
-                if seen & bit:
-                    raise RuntimeError(f"neighbor color {cu} repeats; no color can be harmonious")
-                seen |= bit
-                forbid |= partners[cu]
-        forbid |= seen
-        c = colors[v] = (~forbid & (forbid + 1)).bit_length() - 1
-        partners[c] |= seen
-        bit = 1 << c
-        for x in adj[v]:
-            cx = colors[x]
-            if cx:
-                partners[cx] |= bit
+                partners[cu] |= bit
             else:
-                for w in adj[x]:
-                    if not colors[w]:  # v itself is colored by now
-                        blocked[w] |= bit
+                around[u] |= bit
 
 
 def greedy(g: Graph, order: list[int]) -> Coloring:
@@ -71,13 +91,15 @@ def greedy(g: Graph, order: list[int]) -> Coloring:
     neighbor with v: otherwise that neighbor would later see two
     same-colored neighbors and have no feasible color at all. With this
     rule the colored neighbors of every vertex carry distinct colors, so
-    a fresh color always works.
+    a fresh color always works. The rule is checked at v itself, through
+    the colors around its uncolored neighbors; a middle vertex colored
+    before v is covered by the partners of its color (module docstring).
     """
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of 0..n-1")
     colors = [0] * g.n
     # first-fit never needs a color above n
-    _first_fit(g, order, colors, [0] * (g.n + 1), [0] * g.n)
+    _first_fit(g, order, colors, [0] * (g.n + 1), 1)
     return Coloring(tuple(colors))
 
 
@@ -173,15 +195,20 @@ def vc_coloring(g: Graph, cover: VertexCoverResult) -> Coloring:
     colors = [0] * g.n
     for i, v in enumerate(sorted(cover.cover), start=1):
         colors[v] = i
-    partners = [0] * (g.n + 1)  # first-fit never needs a color above n
-    for u, v in g.edges:
-        if colors[u] and colors[v]:
-            partners[colors[u]] |= 1 << colors[v]
-            partners[colors[v]] |= 1 << colors[u]
     rest = [v for v in range(g.n) if not colors[v]]
-    # a vertex outside the cover has only colored neighbors, so first-fit
-    # blocks nothing, and each one avoids the cover's colors
-    _first_fit(g, rest, colors, partners, [(1 << (cover.size + 1)) - 1] * g.n)
+    # first-fit reads partners only at the cover colors next to rest, and
+    # rest is independent, so those masks start as the cover's pairs (plus
+    # bit 0 from each uncolored neighbor, which every forbid holds anyway)
+    adj = g.adj
+    partners = [0] * (g.n + 1)  # first-fit never needs a color above n
+    for u in {u for v in rest for u in adj[v]}:
+        mask = 0
+        for w in adj[u]:
+            mask |= 1 << colors[w]
+        partners[colors[u]] = mask
+    # a vertex outside the cover has only colored neighbors, so the
+    # distance-2 rule is idle, and each one avoids the cover's colors
+    _first_fit(g, rest, colors, partners, (1 << (cover.size + 1)) - 1)
     for v in rest:
         if colors[v] > top:
             raise AssertionError(f"no color for vertex {v} within VC + D^2 - D + 1 = {top}")

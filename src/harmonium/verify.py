@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import Graph, closed_n2, diameter, stats
 
@@ -27,13 +28,13 @@ class Coloring:
     def n(self) -> int:
         return len(self.colors)
 
-    @property
+    @cached_property
     def k(self) -> int:
-        """Number of distinct colors used."""
+        """Number of distinct colors used, counted on first use."""
         return len(set(self.colors))
 
     def __post_init__(self):
-        if any(c < 1 for c in self.colors):
+        if self.colors and min(self.colors) < 1:
             raise ValueError("colors must be positive integers")
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -154,6 +155,75 @@ def test_load_coloring_partial_rejected(tmp_path):
     f.write_text("0 1\n2 2\n")
     with pytest.raises(ValueError, match=r"vertex 2 outside 0\.\.1"):
         load_coloring(str(f), 2)
+
+
+def _reference_load_coloring(text, n):
+    """load_coloring's checks, one line and one pair at a time, in order."""
+    from conftest import reference_pair, reference_rows
+
+    pairs = [reference_pair(row, "v c") for row in reference_rows(text)]
+    colors = {}
+    for v, c in pairs:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        if v in colors:
+            raise ValueError(f"vertex {v} is listed twice")
+        if c < 1:
+            raise ValueError(f"vertex {v} has color {c}; colors start at 1")
+        colors[v] = c
+    missing = [v for v in range(n) if v not in colors]
+    if missing:
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise ValueError(f"coloring is partial; missing vertices {missing[:5]}{more}")
+    return Coloring(tuple(colors[v] for v in range(n)))
+
+
+def test_load_coloring_equals_a_line_by_line_reference(tmp_path):
+    from conftest import join_lines, random_pair_lines
+
+    rng = random.Random(21)
+    f = tmp_path / "c.coloring"
+    kinds = set()
+    for _ in range(600):
+        n = rng.randint(0, 8)
+        listed = rng.sample(range(n), n - (n > 0 and rng.random() < 0.2))  # maybe one short
+        full = [f"{v} {rng.randint(1, 4)}" for v in listed]
+        lines = full + random_pair_lines(rng, n, rng.choice((0, 0, 1, 3)))
+        rng.shuffle(lines)
+        with open(f, "w", newline="") as fh:  # keep CRLF as written
+            fh.write(join_lines(rng, lines))
+        with open(f) as fh:  # as load_coloring reads it
+            text = fh.read()
+        outcomes = []
+        for load in (lambda: load_coloring(str(f), n), lambda: _reference_load_coloring(text, n)):
+            try:
+                outcomes.append(load())
+            except ValueError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1], text
+        kinds |= {kind for kind in ("expected a line", "outside", "twice", "start at 1", "partial")
+                  if kind in str(outcomes[1])} or {"coloring"}
+    assert kinds == {"coloring", "expected a line", "outside", "twice", "start at 1", "partial"}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_coloring_restores_the_collector_state(tmp_path, enabled):
+    import gc
+
+    f = tmp_path / "c.coloring"
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        f.write_text("0 1\n1 2\n")
+        assert load_coloring(str(f), 2).colors == (1, 2)
+        assert gc.isenabled() is enabled
+        for text in ("0 1\n1 x\n", "0 1\n"):  # a bad line, a partial coloring
+            f.write_text(text)
+            with pytest.raises(ValueError):
+                load_coloring(str(f), 2)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 _BAD_COLORING_LINES = [

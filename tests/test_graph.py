@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -190,3 +191,80 @@ def test_parse_comments_and_errors():
             with pytest.raises(ValueError) as error:
                 parse_edge_list(form)
             assert str(error.value) == message
+
+
+def _reference_parse(text):
+    """parse_edge_list's checks, one line and one pair at a time, in order."""
+    from conftest import reference_pair, reference_rows
+
+    rows = reference_rows(text)
+    if not rows:
+        raise ValueError("empty edge-list input")
+    n, m = reference_pair(rows[0], "n m")
+    if len(rows) - 1 != m:
+        raise ValueError(f"header declares {m} edges, found {len(rows) - 1}")
+    pairs = [reference_pair(row, "u v") for row in rows[1:]]
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"self-loop ({u},{v}) not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    if len(edges) != m:
+        raise ValueError(f"edge list contains duplicates: {m} declared, {len(edges)} distinct")
+    adj = tuple(tuple(sorted({v for e in edges if u in e for v in e if v != u})) for u in range(n))
+    return n, tuple(edges), adj
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as error:
+        return "ValueError", str(error)
+
+
+def _parsed(text):
+    g = parse_edge_list(text)
+    return g.n, g.edges, g.adj
+
+
+def test_parse_edge_list_equals_a_line_by_line_reference():
+    from conftest import join_lines, random_pair_lines, reference_rows
+
+    rng = random.Random(21)
+    kinds = set()
+    for _ in range(800):
+        n = rng.randint(-1, 7)
+        lines = random_pair_lines(rng, n, rng.randint(0, 9))
+        data = len(reference_rows("\n".join(lines)))
+        m = data + rng.choice((0, 0, 0, -1, 1))
+        header = rng.choice((f"{n} {m}",) * 8 + (f"{n}", f"{n} {m} 1", f"n {m}", "# header?"))
+        text = join_lines(rng, rng.choice(([], ["# a graph"], [""])) + [header] + lines)
+        expected = _outcome(_reference_parse, text)
+        assert _outcome(_parsed, text) == expected, text
+        kinds.add(expected[1].split()[0] if expected[0] == "ValueError" else "graph")
+    # every outcome: a graph, an empty input, a bad line, a wrong count, a
+    # negative n, a self-loop, an id out of range and a duplicate pair
+    assert kinds == {"graph", "empty", "expected", "header", "vertex", "self-loop", "edge"}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parsing_restores_the_collector_state(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert parse_edge_list("3 2\n0 1\n1 2\n").m == 2
+        assert gc.isenabled() is enabled
+        assert from_edge_list(3, [(0, 1)]).m == 1
+        assert gc.isenabled() is enabled
+        for text in ("3 1\n0 x\n", "3 1\n1 1\n", "3 2\n0 1\n"):
+            with pytest.raises(ValueError):
+                parse_edge_list(text)
+            assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            from_edge_list(3, [(0, 3)])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

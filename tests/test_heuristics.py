@@ -74,20 +74,84 @@ def test_heuristic_colorings_are_pinned():
 
 
 def test_first_fit_takes_the_lowest_free_color_and_records_its_pairs():
-    # vertex 2 sees colors 1 and 2, already paired, and has 3 blocked; 3 -- 4 is uncolored
+    # vertex 2 sees colors 1 and 2, already paired; its uncolored neighbor 3
+    # has the neighbor 4 of color 3, so vertex 2 may not take color 3, which
+    # would give vertex 3 two neighbors of color 3
     g = from_edge_list(5, [(0, 2), (1, 2), (2, 3), (3, 4)])
-    colors, partners, blocked = [1, 2, 0, 0, 0], [0, 0b0100, 0b0010, 0, 0, 0], [0, 0, 0b1000, 0, 0]
-    _first_fit(g, [2], colors, partners, blocked)
-    assert colors == [1, 2, 4, 0, 0]
+    colors, partners = [1, 2, 0, 0, 3], [0, 0b0100, 0b0010, 0, 0, 0]
+    _first_fit(g, [2], colors, partners, 1)
+    assert colors == [1, 2, 4, 0, 3]
     assert partners == [0, 0b10100, 0b10010, 0, 0b00110, 0]
-    # 4 is two steps from 2 through the uncolored 3, so it may not take color 4
-    assert blocked == [0, 0, 0b1000, 0, 0b10000]
+    # colors in the base mask are never taken
+    colors, partners = [1, 2, 0, 0, 3], [0, 0b0100, 0b0010, 0, 0, 0, 0]
+    _first_fit(g, [2], colors, partners, 0b10001)
+    assert colors == [1, 2, 5, 0, 3]
+    assert partners == [0, 0b100100, 0b100010, 0, 0, 0b000110, 0]
 
 
 def test_first_fit_rejects_a_repeated_neighbor_color():
     g = star(3)
     with pytest.raises(RuntimeError, match="neighbor color 2 repeats"):
-        _first_fit(g, [0], [0, 1, 2, 2], [0] * 5, [0] * 4)
+        _first_fit(g, [0], [0, 1, 2, 2], [0] * 5, 1)
+
+
+def _reference_first_fit(g, order, colors, lowest, distance2):
+    """The docstring rules with sets: v takes the lowest color >= lowest
+    that no colored neighbor has, that pairs with no colored neighbor's
+    color into a pair some edge already carries, and, with distance2, that
+    no colored vertex has which shares an uncolored neighbor with v."""
+    pairs = {frozenset((colors[u], colors[v])) for u, v in g.edges if colors[u] and colors[v]}
+    for v in order:
+        near = {colors[u] for u in g.adj[v] if colors[u]}
+        if distance2:
+            near |= {colors[w] for x in g.adj[v] if not colors[x] for w in g.adj[x] if colors[w]}
+        c = lowest
+        while c in near or any(frozenset((c, colors[u])) in pairs for u in g.adj[v] if colors[u]):
+            c += 1
+        colors[v] = c
+        pairs |= {frozenset((c, colors[u])) for u in g.adj[v] if colors[u]}
+    return tuple(colors)
+
+
+def _reference_greedy(g, order):
+    return _reference_first_fit(g, order, [0] * g.n, 1, True)
+
+
+def _reference_vc_coloring(g, cover):
+    colors = [0] * g.n
+    for i, v in enumerate(sorted(cover), start=1):
+        colors[v] = i
+    rest = [v for v in range(g.n) if not colors[v]]
+    return _reference_first_fit(g, rest, colors, len(cover) + 1, False)
+
+
+def test_greedy_keeps_the_distance_2_rule_when_the_middle_is_colored_between():
+    # the middle vertex 1 of the path 0 - 1 - 2 is colored between its two
+    # neighbors: vertex 2 may not take color 1, whose pair {1, 2} vertex 1
+    # already has
+    assert greedy(path(3), [0, 1, 2]).colors == (1, 2, 3) == _reference_greedy(path(3), [0, 1, 2])
+    # the middle is colored last: vertex 2 may not take color 1 through it
+    assert greedy(path(3), [0, 2, 1]).colors == (1, 3, 2) == _reference_greedy(path(3), [0, 2, 1])
+
+
+def test_first_fit_colorings_equal_a_set_based_reference():
+    from conftest import random_graph
+
+    rng = random.Random(22)
+    middles_between = 0
+    for _ in range(240):
+        g = random_graph(rng.randint(1, 40), rng.choice((0.05, 0.1, 0.2, 0.4)), rng)
+        shuffled = list(range(g.n))
+        rng.shuffle(shuffled)
+        for order in (list(range(g.n)), shuffled):
+            assert greedy(g, order).colors == _reference_greedy(g, order)
+            position = {v: i for i, v in enumerate(order)}
+            middles_between += any(position[a] < position[x] < position[b]
+                                   for x in range(g.n) for a in g.adj[x] for b in g.adj[x])
+        for mode in ("approx", "exact") if g.n <= 14 else ("approx",):
+            cover = min_vertex_cover(g, mode)
+            assert vc_coloring(g, cover).colors == _reference_vc_coloring(g, cover.cover)
+    assert middles_between > 300
 
 
 def test_greedy_rejects_non_permutation():
