@@ -29,8 +29,7 @@ import time
 from dataclasses import asdict
 
 from . import catalog, constructive, families, heuristics, reduction
-from .graph import (Graph, _collector_paused, _int_pair, _int_pairs, _rows, diameter, emit_edge_list,
-                    parse_edge_list, stats)
+from .graph import Graph, diameter, emit_edge_list, parse_coloring, parse_edge_list, stats
 from .solver import BUDGET_EXHAUSTED, BudgetExceeded, SolverConfig, exists_k, solve
 from .verify import Coloring, is_harmonious, lower_bounds
 
@@ -75,29 +74,11 @@ def load_graph(spec: str) -> Graph:
         return parse_edge_list(fh.read())
 
 
-@_collector_paused
 def load_coloring(path: str, n: int) -> Coloring:
-    """Coloring file: one `vertex color` pair per line, # comments ok.
-    Read with the collector paused, as parse_edge_list is."""
-    colors: dict[int, int] = {}
+    """Coloring file: one `vertex color` pair per line, # comments ok,
+    checked by graph.parse_coloring."""
     with open(path) as fh:
-        text = fh.read()
-    pairs = _int_pairs(text)
-    if pairs is None:
-        pairs = [_int_pair(row, "v c") for row in _rows(text)]  # raises on the first bad line
-    for v, c in pairs:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside 0..{n - 1}")
-        if v in colors:
-            raise ValueError(f"vertex {v} is listed twice")
-        if c < 1:
-            raise ValueError(f"vertex {v} has color {c}; colors start at 1")
-        colors[v] = c
-    if len(colors) < n:
-        missing = [v for v in range(n) if v not in colors]
-        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
-        raise ValueError(f"coloring is partial; missing vertices {missing[:5]}{more}")
-    return Coloring(tuple(colors[v] for v in range(n)))
+        return Coloring(parse_coloring(fh.read(), n))
 
 
 def emit_coloring(c: Coloring) -> str:

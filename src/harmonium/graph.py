@@ -1,4 +1,5 @@
-"""Immutable simple-graph type, degree statistics and distance queries.
+"""Immutable simple-graph type, its text formats, degree statistics and
+distance queries.
 
 Vertices are dense ids 0..n-1. Edges are stored as one ascending tuple of
 pairs (u, v) with u < v, the only edge order any caller sees, and as
@@ -7,11 +8,12 @@ id, which downstream greedy code relies on for determinism.
 
 Parsing and building make a few passes over the lines and pairs and one
 sort of the edges; stats is O(n), closed_n2 O(deg(v)·Δ) and diameter
-O(n·m). Parsing and building run with the cyclic garbage collector paused
-(its previous state is restored however they end). Everything they
-allocate is acyclic: strings, ints, pair tuples and the lists and tuples
-that hold them, all freed by reference counting, so a collection there
-could free nothing. Yet each allocated container counts towards the next
+O(n·m). The coloring format is parsed here too (parse_coloring). Parsing
+and building run with the cyclic garbage collector paused (its previous
+state is restored however they end). Everything they allocate is
+acyclic: strings, ints, pair tuples and the lists and tuples that hold
+them, all freed by reference counting, so a collection there could free
+nothing. Yet each allocated container counts towards the next
 collection, and a 6,000-line parse triggered about 40 of them, each
 walking every tracked object of the young generation.
 """
@@ -197,6 +199,31 @@ def parse_edge_list(text: str) -> Graph:
     if g.m != m:
         raise ValueError(f"edge list contains duplicates: {m} declared, {g.m} distinct")
     return g
+
+
+@_collector_paused
+def parse_coloring(text: str, n: int) -> tuple[int, ...]:
+    """The colors of vertices 0..n-1 from the coloring format: one `v c`
+    line per vertex, each vertex once, colors from 1, `#` comments ok.
+    Lines are read as parse_edge_list reads them, with the collector
+    paused; the first fault raises ValueError naming it."""
+    pairs = _int_pairs(text)
+    if pairs is None:
+        pairs = [_int_pair(row, "v c") for row in _rows(text)]  # raises on the first bad line
+    colors: dict[int, int] = {}
+    for v, c in pairs:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        if v in colors:
+            raise ValueError(f"vertex {v} is listed twice")
+        if c < 1:
+            raise ValueError(f"vertex {v} has color {c}; colors start at 1")
+        colors[v] = c
+    if len(colors) < n:
+        missing = [v for v in range(n) if v not in colors]
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise ValueError(f"coloring is partial; missing vertices {missing[:5]}{more}")
+    return tuple(colors[v] for v in range(n))
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -21,10 +21,9 @@ at the last two depths, where a failed subtree is at most a node and its
 one-node children. The nodes, witnesses and budget verdicts are those of
 the plain walk. The empty graph's tree is its one leaf: one node, the
 empty witness.
-Where the next vertex is neither tabled nor the leaf, a node's candidates
-come in O(1) from its parent's, so a node without candidates (485,886 of
-the 1,081,600 nodes of GP(10,3)'s k = 9 proof) is counted without being
-pushed and popped.
+Every node below the walk's root gets its candidates in O(1) from its
+parent's, so a node without candidates (485,886 of the 1,081,600 nodes of
+GP(10,3)'s k = 9 proof) is counted without being pushed and popped.
 On Linux with two or more CPUs in the process's affinity, exists_k
 pauses a walk that enters 2^12 nodes without reusing a failed subtree;
 one forked searcher per CPU takes the rest of its tree, as prefix tasks,
@@ -152,20 +151,23 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
     ends the search, so a failed subtree entered at n - 2 is that node plus
     one-node children, and a lookup there saves no more than it costs.
 
-    Where v's child w = v + 1 is neither tabled nor the leaf, v is entered
-    once with the part of w's candidates that v's color leaves alone: rm,
-    the colors of R = back[w] minus v, and the OR of used[x] over x in rm
-    (all colors, so no candidate, when R's colors repeat). Coloring v with
-    c (bit b, mask the colors of back[v]) adds exactly the pairs {c, x} for
-    x in mask: used[x] gains b for each x in mask, used[c] gains mask, and
-    nothing else changes. So if v is in back[w], w has no candidates when
-    rm & b, and otherwise allowed[max(maxc, c)] minus rm, b, the OR, used[c]
-    and mask; if not, allowed[max(maxc, c)] minus rm, the OR, b when
-    rm & mask, and mask when rm & b. A child without candidates is counted
-    as its one node and v goes on to its next candidate, and a live one is
-    entered with its candidates known. The entry above still runs at
-    tabled depths, at the leaf, and when the next node reaches a budget,
-    deadline or pause check, so every check fires at the node it did.
+    Only the root's candidates come from its back neighbors; every other
+    node gets them in O(1) from its parent. A node v with candidates fixes
+    the part of its child w = v + 1's that v's color leaves alone: rm, the
+    colors of R = back[w] minus v (empty at the leaf w = n), and the OR of
+    used[x] over x in rm (all colors, so no candidate, when R's colors
+    repeat). Coloring v with c (bit b, mask the colors of back[v]) adds
+    exactly the pairs {c, x} for x in mask: used[x] gains b for each x in
+    mask, used[c] gains mask, and nothing else changes. So if v is in
+    back[w], w has no candidates when rm & b, and otherwise
+    allowed[max(maxc, c)] minus rm, b, the OR, used[c] and mask; if not,
+    allowed[max(maxc, c)] minus rm, the OR, b when rm & mask, and mask when
+    rm & b. A dead child is counted as its one node and v goes on to its
+    next candidate; a live child, or any child when the next node reaches
+    a budget, deadline or pause check, is pushed and entered, so every
+    check fires at the node it did. A tabled depth builds and looks up its
+    key only for a node with candidates: one without is a one-node
+    subtree, never stored.
 
     prefix colors vertices 0..len(prefix)-1 as the walk would have (each
     color one of its candidates there), and the walk covers only the
@@ -178,8 +180,8 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
     """
     n = g.n
     k = min(k, n)  # maxc < n, so no color above n is tried: k sizes nothing
-    # neighbors of v with a smaller index: colored before v
-    back = [[u for u in g.adj[v] if u < v] for v in range(n)]
+    # neighbors of v with a smaller index: colored before v; none at the leaf
+    back = [[u for u in g.adj[v] if u < v] for v in range(n)] + [[]]
     front = [[] for _ in range(n)]
     for u in range(n):
         for w in range(u + 1, max(g.adj[u], default=u) + 1):
@@ -189,16 +191,9 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
     # and at v >= n - 2 (a failed subtree there is at most one level deep)
     tables = [{} if v < n - 2 and len(front[v]) <= _FRONT_CAP else None
               for v in range(n + 1)]
-    # rest[v]: back[v + 1] without v, where v's child is found in O(1): v + 1
-    # is neither tabled nor the leaf; None elsewhere. joined[v]: v in back[v + 1]
-    rest = [None] * n
-    joined = [False] * n
-    for v in range(n - 1):
-        if tables[v + 1] is None:
-            rest[v] = back[v + 1]
-            if v in rest[v]:
-                joined[v] = True
-                rest[v] = [u for u in rest[v] if u != v]
+    # rest[v]: back[v + 1] without v; joined[v]: v in back[v + 1]
+    rest = [[u for u in back[v + 1] if u != v] for v in range(n)]
+    joined = [v in back[v + 1] for v in range(n)]
     cbits, pbits = k.bit_length(), k + 1
     # allowed[maxc]: a brand-new color must be maxc + 1 (symmetry breaking)
     allowed = [(2 << min(maxc + 1, k)) - 2 for maxc in range(k + 1)]
@@ -206,7 +201,7 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
     color = [0] * n
     # the stack, per depth v: colors not tried yet, back colors' mask, maxc,
     # for a tabled depth the entry state's key and the count before entry,
-    # and where rest[v] is set its colors and the child's fixed forbidden part
+    # and rest[v]'s colors and the child's fixed forbidden part
     untried = [0] * n
     seen = [0] * n
     tops = [0] * n
@@ -214,38 +209,49 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
     starts = [_NEVER] * n  # never written at an untabled depth
     rms = [0] * n
     fixed = [0] * n
-    maxc = 0
+    maxc = max(prefix, default=0)
     for v, c in enumerate(prefix):
         color[v] = c
-        bit = 1 << c
-        mask = 0
         for u in back[v]:
-            used[color[u]] |= bit
-            mask |= 1 << color[u]
-        used[c] |= mask
-        maxc = max(maxc, c)
+            used[color[u]] |= 1 << c
+            used[c] |= 1 << color[u]
     start = v = len(prefix)
+    # the root's candidates: none if two back neighbors share a color
+    mask = forbid = 0
+    for u in back[v]:
+        cu = color[u]
+        bit = 1 << cu
+        if mask & bit:
+            forbid = -1
+            break
+        mask |= bit
+        forbid |= used[cu]
+    cands = allowed[maxc] & ~(mask | forbid)
     stop = _NEVER if node_budget is None else node_budget + 1
     tick = _NEVER if deadline is None else _TICK
     check_at = min(stop, tick, pause + 1)
     nodes = reused = 0
     while True:
+        # v is entered with its candidates cands and its back colors' mask
         step = 1
         table = tables[v]
         if table is not None:
-            # maxc, then the front colors, then used[1..maxc]: the front's
-            # length is fixed at v and a larger maxc makes a longer key, so
-            # two states never share one. A prune that reads more state
-            # below v must add it here.
-            key = maxc
-            for u in front[v]:
-                key = key << cbits | color[u]
-            for pairs in used[1:maxc + 1]:
-                key = key << pbits | pairs
-            keys[v] = key
             starts[v] = nodes
-            step = table.get(key, 1)
-            reused += step - 1
+            if cands:  # a node without candidates is never stored
+                # maxc, then the front colors, then used[1..maxc]: the
+                # front's length is fixed at v and a larger maxc makes a
+                # longer key, so two states never share one. A prune that
+                # reads more state below v must add it here.
+                key = maxc
+                for u in front[v]:
+                    key = key << cbits | color[u]
+                for pairs in used[1:maxc + 1]:
+                    key = key << pbits | pairs
+                keys[v] = key
+                step = table.get(key, 1)
+                if step > 1:
+                    reused += step - 1
+                    cands = 0
         nodes += step
         if nodes >= check_at:
             if nodes >= stop or nodes >= tick and time.monotonic() > deadline:
@@ -268,93 +274,70 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
             check_at = min(stop, tick, pause + 1)
         if v == n:
             return SearchOutcome("witness", Coloring(tuple(color)), nodes, nodes - reused)
-        if step > 1:
-            cands = 0
-        else:
-            mask = forbid = 0
-            for u in back[v]:
+        if cands:
+            seen[v] = mask
+            tops[v] = maxc
+            # the part of the child's candidates that v's color leaves
+            # alone; all colors when rest's colors repeat: a dead child
+            rm = forbid = 0
+            for u in rest[v]:
                 cu = color[u]
                 bit = 1 << cu
-                if mask & bit:
-                    cands = 0
+                if rm & bit:
+                    forbid = -1
                     break
-                mask |= bit
+                rm |= bit
                 forbid |= used[cu]
-            else:
-                cands = allowed[maxc] & ~(mask | forbid)
+            rms[v] = rm
+            fixed[v] = rm | forbid | (mask if joined[v] else 0)
         while True:
-            # v is entered with cands and mask, by the entry above or as a
-            # child found in O(1) below
-            if cands:
-                seen[v] = mask
-                tops[v] = maxc
-                if rest[v] is not None:
-                    # the part of the child's candidates that v's color
-                    # leaves alone; -1 when rest's colors repeat: a dead child
-                    rm = forbid = 0
-                    for u in rest[v]:
-                        cu = color[u]
-                        bit = 1 << cu
-                        if rm & bit:
-                            forbid = -1
-                            break
-                        rm |= bit
-                        forbid |= used[cu]
-                    rms[v] = rm
-                    fixed[v] = rm | forbid | (mask if joined[v] else 0)
-            while True:
-                while not cands:
-                    # v's subtree failed; one-node failures are cheaper to redo
-                    if nodes > starts[v] + 1:
-                        tables[v][keys[v]] = nodes - starts[v]
-                    v -= 1
-                    if v < start:
-                        return SearchOutcome(INFEASIBLE, None, nodes, nodes - reused)
-                    c = color[v]
-                    bit = 1 << c
-                    mask = seen[v]
-                    for u in back[v]:
-                        used[color[u]] ^= bit
-                    used[c] ^= mask
-                    cands = untried[v]
-                    maxc = tops[v]
-                bit = cands & -cands
-                cands ^= bit
-                c = bit.bit_length() - 1
-                if rest[v] is None or nodes + 1 >= check_at:
-                    child = -1  # the child goes through the entry above
-                    break
-                # the child's candidates after coloring v with c, which adds
-                # exactly the pairs {c, x} for x in mask
-                nodes += 1
-                rm = rms[v]
-                if joined[v]:
-                    child = 0 if rm & bit else allowed[c if c > maxc else maxc] & ~(
-                        fixed[v] | bit | used[c])
-                    child_mask = rm | bit
-                else:
-                    forbid = fixed[v]
-                    if rm & mask:
-                        forbid |= bit
-                    if rm & bit:
-                        forbid |= mask
-                    child = allowed[c if c > maxc else maxc] & ~forbid
-                    child_mask = rm
-                if child:
-                    break
-            # pairs are unique, so XOR sets them here and clears them on backtrack
-            untried[v] = cands
-            color[v] = c
-            for u in back[v]:
-                used[color[u]] ^= bit
-            used[c] ^= mask
-            if c > maxc:
-                maxc = c
-            v += 1
-            if child < 0:
+            while not cands:
+                # v's subtree failed; one-node failures are cheaper to redo
+                if nodes > starts[v] + 1:
+                    tables[v][keys[v]] = nodes - starts[v]
+                v -= 1
+                if v < start:
+                    return SearchOutcome(INFEASIBLE, None, nodes, nodes - reused)
+                c = color[v]
+                bit = 1 << c
+                mask = seen[v]
+                for u in back[v]:
+                    used[color[u]] ^= bit
+                used[c] ^= mask
+                cands = untried[v]
+                maxc = tops[v]
+            bit = cands & -cands
+            cands ^= bit
+            c = bit.bit_length() - 1
+            # the child's candidates after coloring v with c, which adds
+            # exactly the pairs {c, x} for x in mask
+            rm = rms[v]
+            if joined[v]:
+                child = 0 if rm & bit else allowed[c if c > maxc else maxc] & ~(
+                    fixed[v] | bit | used[c])
+                child_mask = rm | bit
+            else:
+                forbid = fixed[v]
+                if rm & mask:
+                    forbid |= bit
+                if rm & bit:
+                    forbid |= mask
+                child = allowed[c if c > maxc else maxc] & ~forbid
+                child_mask = rm
+            if child or nodes + 1 >= check_at:
                 break
-            cands = child
-            mask = child_mask
+            nodes += 1  # a child without candidates: its one node, no push
+        # pairs are unique, so XOR sets them here and clears them on backtrack
+        untried[v] = cands
+        color[v] = c
+        for u in back[v]:
+            used[color[u]] ^= bit
+        used[c] ^= mask
+        if c > maxc:
+            maxc = c
+        v += 1
+        cands = child
+        mask = child_mask
 
 
 def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome:

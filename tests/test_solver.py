@@ -212,25 +212,41 @@ def test_search_tree_is_unchanged(name):
     assert res.nodes_walked == sum(walked for _, _, walked in per_k.values())
 
 
-def reference_walk(g, k):
+class _Paused(Exception):
+    pass
+
+
+def reference_walk(g, k, pause=None):
     """(nodes, witness) of the plain search tree, by recursion: vertices in
     index order, colors lowest first, a new color only as the largest so far
     + 1, no tables; a graph with more edges than k colors have pairs is one
-    node."""
-    if g.m > k * (k - 1) // 2:
+    node. With pause = p, a tree of more than p nodes stops before node
+    p + 1 and gives (p, frontier): that node's prefix, then each ancestor
+    depth's untried valid colors as prefixes, deepest depth first."""
+    if pause is None and g.m > k * (k - 1) // 2:
         return 1, None
     color, pairs, nodes = [0] * g.n, set(), 0
+    untried = [()] * g.n  # per depth, the valid colors not tried yet
 
     def walk(v, maxc):
         nonlocal nodes
+        if nodes == pause:
+            frontier = [tuple(color[:v])]
+            for d in range(v - 1, -1, -1):
+                frontier += [(*color[:d], c) for c in untried[d]]
+            raise _Paused(frontier)
         nodes += 1
         if v == g.n:
             return True
         back = [color[u] for u in g.adj[v] if u < v]
+        valid = []
         for c in range(1, min(maxc + 1, k) + 1):
             new = {frozenset((c, b)) for b in back}
-            if c in back or len(new) < len(back) or new & pairs:
-                continue
+            if not (c in back or len(new) < len(back) or new & pairs):
+                valid.append(c)
+        for i, c in enumerate(valid):
+            untried[v] = valid[i + 1:]
+            new = {frozenset((c, b)) for b in back}
             color[v] = c
             pairs.update(new)
             if walk(v + 1, max(maxc, c)):
@@ -238,8 +254,15 @@ def reference_walk(g, k):
             pairs.difference_update(new)
         return False
 
-    found = walk(0, 0)
+    try:
+        found = walk(0, 0)
+    except _Paused as stop:
+        return pause, stop.args[0]
     return nodes, tuple(color) if found else None
+
+
+def random_tree(n, rng):
+    return from_edge_list(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
 def test_node_counts_match_a_plain_recursive_walk():
@@ -248,8 +271,13 @@ def test_node_counts_match_a_plain_recursive_walk():
     from conftest import random_graph
 
     rng = random.Random(18)
-    for _ in range(150):
-        g = random_graph(rng.randint(1, 11), rng.uniform(0.15, 0.7), rng)
+    graphs = [random_graph(rng.randint(1, 11), rng.uniform(0.15, 0.7), rng) for _ in range(150)]
+    # cycles, paths and trees have tabled depths, where a child without
+    # candidates is counted from its parent's state
+    rng = random.Random(23)
+    graphs += [cycle(n) for n in range(3, 17)] + [path(n) for n in range(2, 17)]
+    graphs += [random_tree(rng.randint(2, 16), rng) for _ in range(20)]
+    for g in graphs:
         for k in range(1, g.n + 1):
             nodes, witness = reference_walk(g, k)
             out = exists_k(g, k)
@@ -263,6 +291,40 @@ def test_node_counts_match_a_plain_recursive_walk():
             full = exists_k(g, k, SolverConfig(node_budget=nodes))
             assert (full.status, full.nodes_explored, full.witness) == (
                 out.status, nodes, out.witness), (g.edges, k)
+
+
+def test_pause_tasks_match_a_plain_recursive_walk():
+    # a walk that pauses before node p + 1 returns p and the open frontier
+    # of the plain tree there; one that has reused a failed subtree by then
+    # does not pause and ends as the unpaused walk
+    import random
+
+    import harmonium.solver as s
+    from conftest import random_graph
+
+    rng = random.Random(22)
+    graphs = [random_graph(rng.randint(1, 10), rng.uniform(0.15, 0.7), rng) for _ in range(60)]
+    graphs += [cycle(n) for n in range(3, 21)] + [path(n) for n in range(2, 21)]
+    graphs += [random_tree(rng.randint(2, 20), rng) for _ in range(20)]
+    paused = reused = 0
+    for g in graphs:
+        for k in range(1, g.n + 1):
+            if g.m > k * (k - 1) // 2:
+                continue  # exists_k answers these without a walk
+            for p in (0, 1, 3, 10, 50):
+                ref = reference_walk(g, k, pause=p)
+                out = s._search(g, k, None, None, pause=p)
+                if isinstance(out, tuple):
+                    assert out == ref, (g.edges, k, p)
+                    paused += 1
+                    continue
+                assert out == s._search(g, k, None, None), (g.edges, k, p)
+                if ref[0] == p and isinstance(ref[1], list):
+                    assert out.nodes_walked < out.nodes_explored, (g.edges, k, p)
+                    reused += 1
+                else:
+                    assert ref == (out.nodes_explored, out.witness and out.witness.colors)
+    assert paused > 1000 and reused > 3, (paused, reused)
 
 
 def test_deep_search_needs_no_recursion():
@@ -300,6 +362,24 @@ def test_an_unspent_time_budget_changes_nothing():
         for cfg in (None, SolverConfig(time_budget=60)):
             out = exists_k(g, k, cfg)
             assert (out.status, out.nodes_explored, out.nodes_walked) == tree
+
+
+def test_a_deadline_check_at_every_node_changes_nothing(monkeypatch):
+    # with a check at every node, every child without candidates is pushed
+    # and entered instead of counted from its parent, at tabled depths too
+    import random
+    import time
+
+    import harmonium.solver as s
+
+    rng = random.Random(24)
+    graphs = [cycle(n) for n in range(3, 21)] + [path(n) for n in range(2, 17)]
+    graphs += [random_tree(rng.randint(2, 16), rng) for _ in range(20)]
+    walks = [(g, k, s._search(g, k, None, None)) for g in graphs for k in range(1, g.n + 1)]
+    monkeypatch.setattr(s, "_TICK", 1)
+    deadline = time.monotonic() + 600
+    for g, k, out in walks:
+        assert s._search(g, k, None, deadline) == out, (g.edges, k)
 
 
 def test_invalid_config():
