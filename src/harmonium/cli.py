@@ -17,7 +17,7 @@ witness); `--json` prints them as one object, the text mode as
 `key=value` lines. nodes_explored counts the nodes of the trees searched
 (h = n needs none), nodes_walked the ones the search entered rather than
 reused; a long proof may split across the CPUs (solver.exists_k), and
-then only nodes_walked can vary between runs.
+then only nodes_walked varies, with the CPU count and a deadline.
 """
 
 from __future__ import annotations

@@ -25,12 +25,13 @@ Every node below the walk's root gets its candidates in O(1) from its
 parent's, so a node without candidates (485,886 of the 1,081,600 nodes of
 GP(10,3)'s k = 9 proof) is counted without being pushed and popped.
 On Linux with two or more CPUs in the process's affinity, exists_k
-pauses a walk that enters 2^12 nodes without reusing a failed subtree;
-one forked searcher per CPU takes the rest of its tree, as prefix tasks,
-from a pipe in DFS order (split.py), and a walk whose tables pay stays in
-one process. The caller only merges the results in DFS order, so status,
-witness, nodes_explored and budget stops are the one-process walk's, and
-nodes_walked sums the processes' walks, varying with runs and CPU counts.
+pauses a walk that enters 2^12 nodes without reusing a failed subtree,
+and each of W forked searchers, one per CPU, searches every W-th of the
+rest of its tree's prefix tasks in DFS order (split.py); a walk whose
+tables pay stays in one process. The caller only merges the reports in
+DFS order, so status, witness, nodes_explored and budget stops are the
+one-process walk's; nodes_walked sums its walk and the reports it read,
+the same on every run for a given CPU count unless a deadline stops it.
 solve searches only k < n: h = n needs no walk.
 An "infeasible" answer is an exhaustive claim; running out of budget is
 reported as its own outcome, never conflated with infeasibility.
@@ -84,7 +85,7 @@ class SearchOutcome:
     status: str  # "witness" | INFEASIBLE | BUDGET_EXHAUSTED
     witness: Coloring | None
     nodes_explored: int  # nodes of the search tree
-    nodes_walked: int  # nodes the walk entered, summed over a split's processes
+    nodes_walked: int  # nodes the walk entered; a split's sums the reports its merge read
 
     @property
     def feasible(self) -> bool:
@@ -346,9 +347,10 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
     Returns a witness, an exhaustive INFEASIBLE, or BUDGET_EXHAUSTED.
     Only the empty graph may ask for k = 0. When two or more CPUs can run
     the walk (_workers), it pauses at _SPLIT_AT nodes and split.run has
-    one forked process per CPU search the rest while this one merges; the
-    outcome is the one-process walk's, with nodes_walked summed over the
-    processes. A witness that fails verification raises RuntimeError.
+    one forked process per CPU search a stripe of the rest while this one
+    merges; the outcome is the one-process walk's, and nodes_walked varies
+    only with the CPU count and a deadline. A witness that fails
+    verification raises RuntimeError.
     """
     if k < min(g.n, 1):
         raise ValueError(f"color budget must be >= 1, got {k}")

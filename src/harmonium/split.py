@@ -7,39 +7,37 @@ the shallowest task one node deep until there are _TASKS_PER_WORKER tasks
 per worker; each task is then searched by the same solver._search on its
 prefix, given the node budget left at the pause and the deadline.
 
-The task queue is one pipe. run writes every task id, 4 bytes little-endian
-in DFS order, in one write and closes the write end; only then does it fork
-one searcher per CPU. A searcher takes ids with 4-byte reads (_take) until
-a read finds the pipe empty. Linux serializes the reads of a pipe and every
-id is in it before any reader starts, so no read splits an id and no id is
-read twice. The write fits in select.PIPE_BUF bytes, which any pipe holds,
-so it cannot block with no reader: the expansion aims at no more than
-PIPE_BUF / 4 tasks, and where a pause leaves more (after a deep first walk,
-as on a long path ahead of a hard component) each id stands for a run of
-consecutive tasks.
+The tasks are dealt in stripes: searcher j of W searches tasks j, j + W,
+j + 2W, ... of the DFS order, in that order, and writes one line per task
+to its own pipe. The expansion splits the shallowest prefixes first, so
+neighboring tasks are siblings or cousins in one part of the tree; taking
+every W-th of them, each searcher gets a like share of every part, and
+the searchers finish close together.
 
 The parent searches nothing after the expansion. It merges the reports in
-DFS order, so it returns a witness as soon as the tasks before it are
-reported, and the searchers, taking tasks in DFS order, reach those first.
-The nodes before a task are the pause's nodes plus the counts of the
-entries before it, so the first witness in DFS order, the count at which it
-is reached and the node at which a node budget stops are exactly those of
-the one-process walk. Only nodes_walked differs: it sums what every process
-walked and reported, work past the answer included, so it varies between
-runs and CPU counts.
+DFS order, reading task t's line from searcher t % W's pipe, so it returns
+a witness once the tasks before it are reported, which each searcher
+reaches first; a searcher blocked on a full pipe waits only for the parent
+to reach its next task, whose line is already there. The nodes before a
+task are the pause's nodes plus the counts of the entries before it, so the
+first witness in DFS order, the count at which it is reached and the node
+at which a node budget stops are exactly those of the one-process walk.
+nodes_walked sums what the parent walked and the reports the merge read, a
+fixed set without a deadline, so it is the same on every run for a given
+number of CPUs.
 
-Each searcher writes one text line per finished task to its own pipe, keeps
-SIGINT blocked and leaves only through os._exit; the parent kills and reaps
-every searcher before run returns or raises. A searcher that exits without
-reporting a task the merge needs makes run raise RuntimeError, never return
-INFEASIBLE. solver imports this module only when a search splits.
+Each searcher keeps SIGINT blocked and leaves only through os._exit; the
+parent kills and reaps every searcher before run returns or raises. A
+missing or partial line means its searcher died: run then reaps it and
+raises RuntimeError, never returns INFEASIBLE. solver imports this module
+only when a search splits.
 """
 
 from __future__ import annotations
 
 import os
-import select
 import signal
+from typing import BinaryIO, TextIO
 
 from . import solver
 from .graph import Graph
@@ -54,42 +52,34 @@ def run(g: Graph, k: int, node_budget: int | None, deadline: float | None, nodes
         tasks: list[tuple[int, ...]], workers: int) -> SearchOutcome:
     """Finish a walk that paused after `nodes` nodes, with `tasks` (prefixes
     in DFS order) left, on `workers` processes; the outcome is the walk's."""
-    fits = select.PIPE_BUF // 4  # 4-byte ids that one write puts in any pipe
-    entries = _expand(g, k, tasks, min(_TASKS_PER_WORKER * workers, fits))
-    todo = [i for i, e in enumerate(entries) if isinstance(e, tuple)]
-    per = max(1, -(-len(todo) // fits))  # tasks per id: 1 unless there are more
-    runs = [todo[j:j + per] for j in range(0, len(todo), per)]
+    entries = _expand(g, k, tasks, _TASKS_PER_WORKER * workers)
+    todo = [e for e in entries if isinstance(e, tuple)]
+    width = min(workers, len(todo))
     walked = nodes + sum(e.nodes_walked for e in entries if not isinstance(e, tuple))
     left = None if node_budget is None else node_budget - nodes
-    queue, end = os.pipe()
     children: list[_Child] = []
-    results: dict[int, SearchOutcome] = {}
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        try:
-            os.write(end, b"".join(j.to_bytes(4, "little") for j in range(len(runs))))
-        finally:
-            os.close(end)  # so a read past the last id returns empty and does not wait
-        for _ in range(min(workers, len(runs))):
+        for j in range(width):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:  # SIGINT stays blocked: the parent ends this process
                 code = 1
                 try:
                     os.close(r)
-                    _work(g, k, left, deadline, entries, runs, queue, w)
+                    _work(g, k, left, deadline, todo[j::width], os.fdopen(w, "w"))
                     code = 0
                 finally:
                     os._exit(code)
             os.close(w)
-            children.append(_Child(pid, r))
+            children.append(_Child(pid, os.fdopen(r, "rb")))
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        total, status, witness = nodes, INFEASIBLE, None
-        for i, out in enumerate(entries):
+        total, status, witness, t = nodes, INFEASIBLE, None, 0
+        for out in entries:
             if isinstance(out, tuple):
-                while i not in results:
-                    _receive(children, results, i)
-                out = results[i]
+                out = children[t % width].report(t)
+                walked += out.nodes_walked
+                t += 1
             total += out.nodes_explored
             if node_budget is not None and total > node_budget:
                 status, total = BUDGET_EXHAUSTED, node_budget + 1
@@ -97,14 +87,12 @@ def run(g: Graph, k: int, node_budget: int | None, deadline: float | None, nodes
             if out.status != INFEASIBLE:
                 status, witness = out.status, out.witness
                 break
-        walked += sum(o.nodes_walked for o in results.values())
         return SearchOutcome(status, witness, total, walked)
     finally:
         signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             for child in children:
                 child.close()
-            os.close(queue)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
@@ -138,65 +126,37 @@ def _expand(g: Graph, k: int, tasks: list[tuple[int, ...]],
     return entries
 
 
-def _take(queue: int) -> int | None:
-    """The next id in the task queue, or None once it is empty."""
-    raw = os.read(queue, 4)
-    return int.from_bytes(raw, "little") if raw else None
-
-
 def _work(g: Graph, k: int, budget: int | None, deadline: float | None,
-          entries: list[tuple[int, ...] | SearchOutcome], runs: list[list[int]], queue: int,
-          out_fd: int) -> None:
-    """A searcher's loop: take the next id, search its run of tasks and
-    report each one, until the queue is empty."""
-    while (j := _take(queue)) is not None:
-        for i in runs[j]:
-            out = solver._search(g, k, budget, deadline, entries[i], solver._NEVER)
-            colors = out.witness.colors if out.witness else ()
-            line = " ".join(map(str, (i, out.status, out.nodes_explored, out.nodes_walked,
-                                      *colors)))
-            data = f"{line}\n".encode()
-            while data:
-                data = data[os.write(out_fd, data):]
+          tasks: list[tuple[int, ...]], pipe: TextIO) -> None:
+    """A searcher: search its tasks in order, reporting each on its pipe as
+    one line, `status nodes_explored nodes_walked colors...`."""
+    for prefix in tasks:
+        out = solver._search(g, k, budget, deadline, prefix, solver._NEVER)
+        colors = out.witness.colors if out.witness else ()
+        print(out.status, out.nodes_explored, out.nodes_walked, *colors, file=pipe, flush=True)
 
 
 class _Child:
-    """A forked searcher: its pid (0 once reaped) and the read end of its pipe."""
+    """A forked searcher: its pid (0 once reaped) and its pipe's read end."""
 
-    def __init__(self, pid: int, fd: int):
-        self.pid, self.fd, self.buf = pid, fd, b""
+    def __init__(self, pid: int, pipe: BinaryIO):
+        self.pid, self.pipe = pid, pipe
+
+    def report(self, task: int) -> SearchOutcome:
+        """The searcher's next line, which reports `task`."""
+        line = self.pipe.readline()
+        if not line.endswith(b"\n"):  # the write end closed: the searcher exited
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = 0
+            raise RuntimeError(f"the search process holding task {task} exited without its "
+                               f"result (wait status {status})")
+        status, nodes, walked, *colors = line.decode().split()
+        witness = Coloring(tuple(map(int, colors))) if status == "witness" else None
+        return SearchOutcome(status, witness, int(nodes), int(walked))
 
     def close(self) -> None:
         if self.pid:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = 0
-        if self.fd >= 0:
-            os.close(self.fd)
-            self.fd = -1
-
-
-def _receive(children: list[_Child], results: dict[int, SearchOutcome], need: int) -> None:
-    """Wait until a searcher reports or exits, and store what it reported."""
-    live = {c.fd: c for c in children if c.fd >= 0}
-    if not live:
-        raise RuntimeError(f"the search process holding task {need} exited without its result")
-    poller = select.poll()
-    for fd in live:
-        poller.register(fd, select.POLLIN)
-    for fd, _ in poller.poll():
-        child = live[fd]
-        data = os.read(fd, 1 << 16)
-        if data:
-            *lines, child.buf = (child.buf + data).split(b"\n")
-            for line in lines:
-                i, status, nodes, walked, *colors = line.decode().split()
-                witness = Coloring(tuple(map(int, colors))) if status == "witness" else None
-                results[int(i)] = SearchOutcome(status, witness, int(nodes), int(walked))
-            continue
-        os.close(fd)
-        child.fd = -1
-        _, status = os.waitpid(child.pid, 0)
-        child.pid = 0
-        if status:
-            raise RuntimeError(f"a search process failed with wait status {status}")
+        self.pipe.close()

@@ -99,15 +99,14 @@ class BoundsReport:
     for 3-regular diameter-3 graphs, None otherwise, including every cubic
     graph on more than MOORE_CUBIC_DIAMETER3 vertices) and, for diameter
     at most 2, n. The first two never exceed n, so on the empty graph they
-    and combined are 0. The two upper-bound formulas are context only; the
-    trivial upper bound, n, is g.n itself.
+    and combined are 0. The upper-bound formula upper_mcdiarmid is context
+    only; the trivial upper bound, n, is g.n itself.
     """
 
     size_bound: int
     delta_bound: int
     regular33_bound: int | None
     combined: int
-    upper_lee_mitchem: int
     upper_mcdiarmid: int
 
 
@@ -145,7 +144,6 @@ def lower_bounds(g: Graph) -> BoundsReport:
         delta_bound=delta_bound,
         regular33_bound=regular33,
         combined=combined,
-        upper_lee_mitchem=(delta * delta + 1) * math.ceil(math.sqrt(g.n)) if g.n else 0,
         # at least 1: an edgeless graph still needs one color
         upper_mcdiarmid=max(1, math.ceil(2 * delta * math.sqrt(g.n - 1))) if g.n else 0,
     )

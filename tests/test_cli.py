@@ -122,8 +122,7 @@ def test_bound(capsys):
     payload = json.loads(out)
     assert payload["combined"] == 10
     assert sorted(payload) == [
-        "combined", "delta_bound", "regular33_bound", "size_bound",
-        "upper_lee_mitchem", "upper_mcdiarmid",
+        "combined", "delta_bound", "regular33_bound", "size_bound", "upper_mcdiarmid",
     ]
 
 

@@ -611,20 +611,27 @@ def test_one_cpu_or_another_thread_never_forks(cpus, monkeypatch):
 
 
 @linux_only
-@pytest.mark.parametrize("how", ["returns", "raises"])
+@pytest.mark.parametrize("how", ["returns", "raises", "reports one"])
 def test_a_child_without_a_result_is_an_error(cpus, monkeypatch, how):
     import harmonium.solver as s
     import harmonium.split as split
 
-    def take_and_quit(g, k, budget, deadline, entries, runs, queue, out_fd):
-        split._take(queue)
+    real_work = split._work
+
+    def work_and_quit(g, k, budget, deadline, tasks, pipe):
         if how == "raises":
             raise MemoryError
+        if how == "reports one":  # its first task, then half a line
+            real_work(g, k, budget, deadline, tasks[:1], pipe)
+            pipe.write("infeasible 1")
+            pipe.flush()
 
     cpus(2)
     monkeypatch.setattr(s, "_SPLIT_AT", 1000)
-    monkeypatch.setattr(split, "_work", take_and_quit)
-    with pytest.raises(RuntimeError, match="search process"):
+    monkeypatch.setattr(split, "_work", work_and_quit)
+    # searcher 0 holds tasks 0, 2, 4, ...: the merge misses task 0, or task 2
+    task = 2 if how == "reports one" else 0
+    with pytest.raises(RuntimeError, match=f"search process holding task {task} exited"):
         exists_k(generalized_petersen(9, 3), 8)
     assert len(cpus.forks) == 2 and no_children_left()
 
@@ -646,6 +653,25 @@ def test_no_child_outlives_a_split_search(cpus, monkeypatch, g, k, cfg, status):
     assert len(cpus.forks) == 2 and no_children_left()
 
 
+@linux_only
+@pytest.mark.parametrize("k, cfg, status", [
+    (9, None, "witness"),
+    (8, None, INFEASIBLE),
+    (8, SolverConfig(node_budget=20_000), BUDGET_EXHAUSTED),
+], ids=["witness", "proof", "node budget"])
+def test_a_split_walks_the_same_nodes_on_every_run(cpus, monkeypatch, k, cfg, status):
+    """The merge reads the same reports on every run, so nodes_walked, which
+    sums them, is fixed for a given CPU count, as the other outcomes are."""
+    import harmonium.solver as s
+
+    cpus(2)
+    monkeypatch.setattr(s, "_SPLIT_AT", 64)
+    g = generalized_petersen(9, 3)
+    first, second = exists_k(g, k, cfg), exists_k(g, k, cfg)
+    assert first == second and first.status == status
+    assert len(cpus.forks) == 4 and no_children_left()
+
+
 def path_then(tail, g):
     """A path on vertices 0..tail-1, then g: a first walk runs down the path
     and leaves each vertex's untried colors behind as tasks."""
@@ -655,20 +681,45 @@ def path_then(tail, g):
 
 @linux_only
 @pytest.mark.parametrize("g, k, budget, tasks_per_worker, paused_tasks", [
-    (generalized_petersen(9, 3), 8, None, 1 << 12, None),
+    (generalized_petersen(10, 3), 9, None, 1 << 12, None),
     (path_then(120, generalized_petersen(10, 3)), 20, 30_000, 32, 1_045),
 ], ids=["expansion", "pause"])
-def test_a_task_queue_past_pipe_buf_is_the_one_process_walk(cpus, monkeypatch, g, k, budget,
-                                                             tasks_per_worker, paused_tasks):
-    """More tasks than 4-byte ids fit in PIPE_BUF bytes, from an expansion
-    asked for 8,192 or from the pause itself. A write that blocked before the
-    fork would hang: the alarm fails the test instead."""
-    import select
+def test_thousands_of_tasks_are_the_one_process_walk(cpus, monkeypatch, g, k, budget,
+                                                     tasks_per_worker, paused_tasks):
+    """Thousands of tasks, from an expansion asked for 8,192 or from the
+    pause itself. In the expansion one searcher's reports outgrow its pipe,
+    so it blocks on a write until the merge reads that pipe; a wait that
+    never ended would hang, and the alarm fails the test instead."""
+    import fcntl
     import signal
 
     import harmonium.solver as s
     import harmonium.split as split
 
+    class Counted:
+        """A searcher's pipe, as the parent reads it: the bytes read so far."""
+
+        def __init__(self, pipe):
+            self.pipe, self.read = pipe, 0
+            self.holds = fcntl.fcntl(pipe.fileno(), fcntl.F_GETPIPE_SZ)
+            pipes.append(self)
+
+        def readline(self):
+            line = self.pipe.readline()
+            self.read += len(line)
+            return line
+
+        def close(self):
+            self.pipe.close()
+
+    pipes = []
+    fdopen = os.fdopen
+
+    def count_reads(fd, mode):  # the parent opens its read ends "rb", a searcher its write end "w"
+        pipe = fdopen(fd, mode)
+        return Counted(pipe) if mode == "rb" else pipe
+
+    monkeypatch.setattr(os, "fdopen", count_reads)
     cfg = SolverConfig(node_budget=budget)
     cpus(1)
     one = exists_k(g, k, cfg)
@@ -676,9 +727,7 @@ def test_a_task_queue_past_pipe_buf_is_the_one_process_walk(cpus, monkeypatch, g
     monkeypatch.setattr(split, "_TASKS_PER_WORKER", tasks_per_worker)
     if paused_tasks:
         nodes, tasks = s._search(g, k, None, None, pause=s._SPLIT_AT)
-        assert len(tasks) == paused_tasks and 4 * paused_tasks > select.PIPE_BUF
-    else:
-        assert 4 * 2 * tasks_per_worker > select.PIPE_BUF
+        assert len(tasks) == paused_tasks
 
     def hang(signum, frame):
         raise TimeoutError("the split search did not finish")
@@ -692,7 +741,9 @@ def test_a_task_queue_past_pipe_buf_is_the_one_process_walk(cpus, monkeypatch, g
         signal.signal(signal.SIGALRM, old)
     assert (out.status, out.witness, out.nodes_explored) == (
         one.status, one.witness, one.nodes_explored)
-    assert len(cpus.forks) == 2 and no_children_left()
+    assert len(cpus.forks) == len(pipes) == 2 and no_children_left()
+    if not paused_tasks:  # 72 KiB of reports each, against 64 KiB
+        assert all(p.read > p.holds for p in pipes), [(p.read, p.holds) for p in pipes]
 
 
 def _expand_by_rescans(g, k, tasks, want):
