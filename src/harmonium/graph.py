@@ -24,6 +24,7 @@ import gc
 from collections import deque
 from dataclasses import dataclass, field
 from functools import wraps
+from itertools import starmap
 from operator import eq
 from typing import Iterable
 
@@ -76,12 +77,13 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     Rejects self-loops and out-of-range ids; duplicate pairs collapse.
     One pass puts each pair low end first (a tuple pair already in that
     order is kept, not rebuilt), a sort and dict.fromkeys leave the
-    distinct edges ascending, bulk min, max and equality checks over
-    their ends validate them, and one pass fills the neighbor lists:
-    O(m log m), and linear on pairs already in order, as emit_edge_list
-    writes them. Only if a check fails are the pairs walked again, in
-    their given order, to name the first bad one. The collector is paused
-    throughout (module docstring).
+    distinct edges ascending, the lowest id and one equality pass over
+    them check for negative ids and self-loops, and one pass fills the
+    neighbor lists, where an id >= n fails to index: O(m log m), and
+    linear on pairs already in order, as emit_edge_list writes them. Only
+    if a check fails are the pairs walked again, in their given order, to
+    name the first bad one. The collector is paused throughout (module
+    docstring).
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
@@ -89,24 +91,26 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     # tuple(p) is p itself when p is a tuple
     edges = tuple(dict.fromkeys(sorted([tuple(p) if u < v else (v, u)
                                         for p in pairs for u, v in (p,)])))
-    if edges:
-        low, high = zip(*edges)
-        if low[0] < 0 or max(high) >= n or any(map(eq, low, high)):
-            _reject_pair(n, pairs)
+    if edges and (edges[0][0] < 0 or any(starmap(eq, edges))):
+        _reject_pair(n, pairs)
     neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:  # ascending, so each vertex meets its neighbors in order
-        neighbors[u].append(v)
-        neighbors[v].append(u)
+    try:
+        for u, v in edges:  # ascending, so each vertex meets its neighbors in order
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+    except IndexError:  # an id >= n: no id is negative, so none wraps around
+        _reject_pair(n, pairs)
     return Graph(n=n, edges=edges, adj=tuple(map(tuple, neighbors)))
 
 
 def _reject_pair(n: int, pairs: list[tuple[int, int]]) -> None:
-    """Raise ValueError naming the first self-loop or out-of-range pair."""
+    """Raise ValueError naming the first self-loop or out-of-range pair
+    (without the IndexError of the neighbor-list fill as its context)."""
     for u, v in pairs:
         if u == v:
-            raise ValueError(f"self-loop ({u},{v}) not allowed")
+            raise ValueError(f"self-loop ({u},{v}) not allowed") from None
         if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
+            raise ValueError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}") from None
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:

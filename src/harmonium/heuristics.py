@@ -1,9 +1,9 @@
 """Greedy coloring, the vertex-cover-based coloring, and the small
 exact vertex-cover / independent-set searches the reduction leans on.
 
-Both colorings give a vertex the lowest color, outside a forbidden mask,
-that repeats no pair with its neighbors' colors: one first-fit over
-partner bitmasks, partners[c] holding the colors already paired with c.
+Greedy gives a vertex the lowest color that repeats no pair with its
+neighbors' colors: one first-fit over partner bitmasks, partners[c]
+holding the colors already paired with c.
 
 Greedy also keeps the distance-2 rule, checked at the vertex v being
 colored: color c is excluded when a colored vertex w of color c shares an
@@ -14,6 +14,15 @@ the check at v sees c directly, in the mask of x's colored neighbors'
 colors. If x was colored in between, w was already a colored neighbor of
 x then, so c is a partner of x's color, and v's forbid takes in the
 partners of its colored neighbors' colors.
+
+vc_coloring gives the cover's vertices the distinct colors 1..VC. The
+other vertices are independent and have all their neighbors in the
+cover, so a color c above VC repeats a pair at such a v exactly when some
+other vertex outside the cover, next to one of v's cover neighbors, has
+c already. One mask per cover vertex holds the offsets above VC of its
+outside neighbors' colors. v's forbid is the union of its at most Δ
+neighbors' masks, each holding at most Δ - 1 colors besides v's own, so
+v's color is at most VC + Δ² - Δ + 1: the paper's counting argument.
 """
 
 from __future__ import annotations
@@ -36,38 +45,31 @@ class VertexCoverResult:
         return len(self.cover)
 
 
-def _first_fit(g: Graph, order: list[int], colors: list[int], partners: list[int],
-               base: int) -> None:
-    """Give each vertex v of order, in turn, the lowest color outside base
-    (which holds bit 0), its colored neighbors' colors and their partners,
-    and the colors of the colored neighbors of its uncolored neighbors, and
-    record its new pairs both ways in partners. A repeated neighbor color
-    would leave no harmonious color at all, so it raises.
+def greedy(g: Graph, order: list[int]) -> Coloring:
+    """Color vertices in the given order with the smallest harmonious color.
 
-    The last set is the distance-2 rule (module docstring): a colored w of
-    color c next to an uncolored neighbor x of v would give x two
-    neighbors of color c once v took c. around[x] holds the colors of x's
-    colored neighbors for every uncolored x, so v reads one mask per
-    uncolored neighbor, and coloring v adds its color to the masks of its
-    uncolored neighbors. A color in around[x] is never given to another
-    neighbor of x, so only colors given before the call can repeat there.
+    Besides properness and pair uniqueness, a candidate color is rejected
+    if some already-colored vertex with that color shares an *uncolored*
+    neighbor with v: otherwise that neighbor would later see two
+    same-colored neighbors and have no feasible color at all. With this
+    rule the colored neighbors of every vertex carry distinct colors, so
+    a fresh color always works. The rule is checked at v itself, through
+    the colors around its uncolored neighbors; a middle vertex colored
+    before v is covered by the partners of its color (module docstring).
+    around[x] holds the colors of x's colored neighbors while x is
+    uncolored, so v reads one mask per neighbor, and coloring v adds its
+    color to the masks of its uncolored neighbors.
     """
+    n = g.n
+    if len(order) != n or n and (len(set(order)) != n or min(order) < 0 or max(order) >= n):
+        raise ValueError("order must be a permutation of 0..n-1")
     adj = g.adj
-    around = [0] * g.n
-    if any(colors):  # with nothing colored yet, as in greedy, every mask is 0
-        for x in range(g.n):
-            if not colors[x]:
-                for w in adj[x]:
-                    cw = colors[w]
-                    if cw:
-                        bit = 1 << cw
-                        if around[x] & bit:
-                            raise RuntimeError(f"neighbor color {cw} repeats; "
-                                               "no color can be harmonious")
-                        around[x] |= bit
+    colors = [0] * n
+    partners = [0] * (n + 1)  # first-fit never needs a color above n
+    around = [0] * n
     for v in order:
         seen = around[v]
-        forbid = base | seen
+        forbid = 1 | seen  # bit 0 stands for "uncolored", never a color
         for u in adj[v]:
             cu = colors[u]
             forbid |= partners[cu] if cu else around[u]
@@ -81,25 +83,6 @@ def _first_fit(g: Graph, order: list[int], colors: list[int], partners: list[int
                 partners[cu] |= bit
             else:
                 around[u] |= bit
-
-
-def greedy(g: Graph, order: list[int]) -> Coloring:
-    """Color vertices in the given order with the smallest harmonious color.
-
-    Besides properness and pair uniqueness, a candidate color is rejected
-    if some already-colored vertex with that color shares an *uncolored*
-    neighbor with v: otherwise that neighbor would later see two
-    same-colored neighbors and have no feasible color at all. With this
-    rule the colored neighbors of every vertex carry distinct colors, so
-    a fresh color always works. The rule is checked at v itself, through
-    the colors around its uncolored neighbors; a middle vertex colored
-    before v is covered by the partners of its color (module docstring).
-    """
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("order must be a permutation of 0..n-1")
-    colors = [0] * g.n
-    # first-fit never needs a color above n
-    _first_fit(g, order, colors, [0] * (g.n + 1), 1)
     return Coloring(tuple(colors))
 
 
@@ -133,12 +116,24 @@ def adversarial_good_coloring(N: int) -> Coloring:
 
 def min_vertex_cover(g: Graph, mode: str = "exact") -> VertexCoverResult:
     """Minimum vertex cover (branch on an uncovered edge) or the
-    maximal-matching 2-approximation."""
+    maximal-matching 2-approximation, made minimal.
+
+    The approximation takes both ends of a maximal matching, then drops,
+    in ascending order, each vertex whose neighbors are all still in the
+    cover. A vertex kept has a neighbor outside the cover, and the cover
+    only shrinks, so no vertex of the result can be dropped; it is a
+    subset of the matching cover, so still within twice the minimum.
+    """
     if mode == "approx":
         cover: set[int] = set()
+        add, adj = cover.add, g.adj
         for u, v in g.edges:
             if u not in cover and v not in cover:
-                cover |= {u, v}
+                add(u)
+                add(v)
+        for v in sorted(cover):
+            if cover.issuperset(adj[v]):
+                cover.remove(v)
         return VertexCoverResult(frozenset(cover), "matching_2approx")
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
@@ -184,32 +179,31 @@ def vc_budget(g: Graph, cover: VertexCoverResult) -> int:
 
 def vc_coloring(g: Graph, cover: VertexCoverResult) -> Coloring:
     """Color via a vertex cover: cover vertices get distinct colors
-    1..VC, the rest take the smallest harmonious color above VC.
-
-    The neighbors of a vertex outside the cover are in it, so their colors
-    are distinct, and a counting argument keeps every color <= vc_budget.
+    1..VC, the rest, in ascending order, take the smallest harmonious
+    color above VC, which the counting argument keeps <= vc_budget
+    (module docstring).
     """
-    if not is_vertex_cover(g, cover.cover):
-        raise ValueError("given set is not a vertex cover of the graph")
-    top = vc_budget(g, cover)
+    size, adj = cover.size, g.adj
     colors = [0] * g.n
     for i, v in enumerate(sorted(cover.cover), start=1):
         colors[v] = i
-    rest = [v for v in range(g.n) if not colors[v]]
-    # first-fit reads partners only at the cover colors next to rest, and
-    # rest is independent, so those masks start as the cover's pairs (plus
-    # bit 0 from each uncolored neighbor, which every forbid holds anyway)
-    adj = g.adj
-    partners = [0] * (g.n + 1)  # first-fit never needs a color above n
-    for u in {u for v in rest for u in adj[v]}:
-        mask = 0
-        for w in adj[u]:
-            mask |= 1 << colors[w]
-        partners[colors[u]] = mask
-    # a vertex outside the cover has only colored neighbors, so the
-    # distance-2 rule is idle, and each one avoids the cover's colors
-    _first_fit(g, rest, colors, partners, (1 << (cover.size + 1)) - 1)
-    for v in rest:
-        if colors[v] > top:
-            raise AssertionError(f"no color for vertex {v} within VC + D^2 - D + 1 = {top}")
+    # bit i at a cover vertex: color VC + 1 + i is taken next to it; a
+    # vertex outside the cover holds every bit, so next to it no color is free
+    taken = [0 if c else -1 for c in colors]
+    used = 0
+    for v, c in enumerate(colors):
+        if not c:
+            forbid, near = 0, adj[v]
+            for u in near:
+                forbid |= taken[u]
+            bit = ~forbid & (forbid + 1)  # the lowest clear bit
+            if not bit:
+                raise ValueError("given set is not a vertex cover of the graph")
+            colors[v] = size + bit.bit_length()
+            for u in near:
+                taken[u] |= bit
+            used |= bit
+    top = vc_budget(g, cover)
+    if size + used.bit_length() > top:
+        raise AssertionError(f"no color within VC + D^2 - D + 1 = {top}")
     return Coloring(tuple(colors))

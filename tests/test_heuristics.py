@@ -17,7 +17,7 @@ from harmonium import (
     vc_coloring,
 )
 from harmonium.families import complete, cycle, generalized_petersen, path, star
-from harmonium.heuristics import _first_fit, is_vertex_cover
+from harmonium.heuristics import VertexCoverResult, is_vertex_cover
 
 
 def test_greedy_is_harmonious(rng):
@@ -57,7 +57,10 @@ def _digest(colorings):
 
 def test_heuristic_colorings_are_pinned():
     # recorded from the tuple-set greedy and vc_coloring that the partner
-    # bitmasks replaced: any change to a coloring changes a digest
+    # bitmasks replaced: any change to a coloring changes a digest. by_cover
+    # was re-recorded when the approximate cover became minimal; on the
+    # unpruned matching cover it still gives the first digest,
+    # 888ce9724beb0bd2f230d050a017ed768eff1c727305458216ff860e30570c64
     by_order, by_shuffle, by_cover = [], [], []
     for g, order in _pinned_corpus():
         by_order.append(greedy(g, order))
@@ -70,29 +73,16 @@ def test_heuristic_colorings_are_pinned():
     assert [c.k for c in by_order] == [376, 40, 91, 5, 10, 17, 26, 37, 50]
     assert _digest(by_order) == "72a6a8dd3246050c3e738a528c5b895d3051911bb0203c632e5e05e9f4abc08c"
     assert _digest(by_shuffle) == "af6764680c3fb214244c3eae970ebdc22f5ec459f91460306d92434cf3bfe36d"
-    assert _digest(by_cover) == "888ce9724beb0bd2f230d050a017ed768eff1c727305458216ff860e30570c64"
+    assert _digest(by_cover) == "dbb2bce04c26fb8973fa3a7b1efcd90064847e2e07eb1e417004ab5a28287878"
 
 
-def test_first_fit_takes_the_lowest_free_color_and_records_its_pairs():
-    # vertex 2 sees colors 1 and 2, already paired; its uncolored neighbor 3
-    # has the neighbor 4 of color 3, so vertex 2 may not take color 3, which
-    # would give vertex 3 two neighbors of color 3
+def test_greedy_takes_the_lowest_free_color_and_records_its_pairs():
+    # 0 takes 1; 1 may not take 1, which 0 has next to their uncolored
+    # neighbor 2; 4 takes 1; 2 sees 1 and 2 and takes 3; 3 sees 3 and 1,
+    # and 2 would repeat the pair {2, 3} of the edge 1 - 2, so it takes 4
     g = from_edge_list(5, [(0, 2), (1, 2), (2, 3), (3, 4)])
-    colors, partners = [1, 2, 0, 0, 3], [0, 0b0100, 0b0010, 0, 0, 0]
-    _first_fit(g, [2], colors, partners, 1)
-    assert colors == [1, 2, 4, 0, 3]
-    assert partners == [0, 0b10100, 0b10010, 0, 0b00110, 0]
-    # colors in the base mask are never taken
-    colors, partners = [1, 2, 0, 0, 3], [0, 0b0100, 0b0010, 0, 0, 0, 0]
-    _first_fit(g, [2], colors, partners, 0b10001)
-    assert colors == [1, 2, 5, 0, 3]
-    assert partners == [0, 0b100100, 0b100010, 0, 0, 0b000110, 0]
-
-
-def test_first_fit_rejects_a_repeated_neighbor_color():
-    g = star(3)
-    with pytest.raises(RuntimeError, match="neighbor color 2 repeats"):
-        _first_fit(g, [0], [0, 1, 2, 2], [0] * 5, 1)
+    order = [0, 1, 4, 2, 3]
+    assert greedy(g, order).colors == (1, 2, 3, 4, 1) == _reference_greedy(g, order)
 
 
 def _reference_first_fit(g, order, colors, lowest, distance2):
@@ -115,6 +105,16 @@ def _reference_first_fit(g, order, colors, lowest, distance2):
 
 def _reference_greedy(g, order):
     return _reference_first_fit(g, order, [0] * g.n, 1, True)
+
+
+def _matching_cover(g):
+    """Both ends of a maximal matching, unpruned: the approximate cover
+    before its minimal pass."""
+    cover = set()
+    for u, v in g.edges:
+        if u not in cover and v not in cover:
+            cover |= {u, v}
+    return VertexCoverResult(frozenset(cover), "matching_2approx")
 
 
 def _reference_vc_coloring(g, cover):
@@ -148,8 +148,11 @@ def test_first_fit_colorings_equal_a_set_based_reference():
             position = {v: i for i, v in enumerate(order)}
             middles_between += any(position[a] < position[x] < position[b]
                                    for x in range(g.n) for a in g.adj[x] for b in g.adj[x])
-        for mode in ("approx", "exact") if g.n <= 14 else ("approx",):
-            cover = min_vertex_cover(g, mode)
+        covers = [min_vertex_cover(g, "approx"), _matching_cover(g),
+                  VertexCoverResult(frozenset(range(g.n)), "exact")]
+        if g.n <= 14:
+            covers.append(min_vertex_cover(g, "exact"))
+        for cover in covers:
             assert vc_coloring(g, cover).colors == _reference_vc_coloring(g, cover.cover)
     assert middles_between > 300
 
@@ -160,6 +163,11 @@ def test_greedy_rejects_non_permutation():
         greedy(g, [0, 1])
     with pytest.raises(ValueError):
         greedy(g, [0, 1, 1])
+    with pytest.raises(ValueError):
+        greedy(g, [0, 1, -1])
+    with pytest.raises(ValueError):
+        greedy(g, [0, 1, 3])
+    assert greedy(from_edge_list(0, []), []).colors == ()
 
 
 def test_greedy_path_is_optimal_enough():
@@ -220,6 +228,15 @@ def test_approx_cover_within_factor_two(rng):
         assert is_vertex_cover(g, approx.cover)
         assert approx.method == "matching_2approx"
         assert approx.size <= 2 * max(exact.size, 1)
+        # minimal: no vertex can be dropped, and inside the matching cover
+        assert all(not is_vertex_cover(g, approx.cover - {v}) for v in approx.cover)
+        assert approx.cover <= _matching_cover(g).cover
+
+
+def test_approx_cover_sizes_are_pinned_on_generalized_petersen():
+    sizes = [min_vertex_cover(generalized_petersen(n, 3), "approx").size
+             for n in (500, 1000, 2000)]
+    assert sizes == [502, 1002, 2002]
 
 
 def test_exact_cover_guard():
@@ -260,8 +277,6 @@ def test_vc_coloring_budget_example():
 
 
 def test_vc_coloring_rejects_non_cover():
-    from harmonium import VertexCoverResult
-
     g = cycle(5)
     with pytest.raises(ValueError):
         vc_coloring(g, VertexCoverResult(frozenset({0}), "exact"))
