@@ -167,10 +167,6 @@ def max_independent_set(g: Graph) -> set[int]:
     return set(range(g.n)) - cover
 
 
-def is_vertex_cover(g: Graph, cover: set[int] | frozenset[int]) -> bool:
-    return all(u in cover or v in cover for u, v in g.edges)
-
-
 def vc_budget(g: Graph, cover: VertexCoverResult) -> int:
     """VC + max_degree^2 - max_degree + 1: the most colors vc_coloring uses."""
     delta = stats(g).max_degree

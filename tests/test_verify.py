@@ -248,6 +248,23 @@ def test_a_hub_settles_the_distance_2_test_without_the_balls(monkeypatch):
         assert lower_bounds(g).combined == g.n
 
 
+def test_a_least_degree_vertex_goes_first_and_every_vertex_after(monkeypatch):
+    import harmonium.verify as verify
+
+    balls = []
+    real = verify.closed_n2
+    monkeypatch.setattr(verify, "closed_n2", lambda g, v: balls.append(v) or real(g, v))
+    # vertex 0 sees every vertex within distance 2; leaf 1 goes first and misses 5
+    g = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)])
+    assert lower_bounds(g).combined == 5 and balls == [1]
+    # least-degree vertex 0 sees all 7 vertices, so the vertices are tried
+    # from 0 after it, and vertex 1 misses 5 and 6
+    balls.clear()
+    g = from_edge_list(7, [(0, 1), (0, 2), (1, 3), (1, 4), (3, 4), (2, 5), (2, 6), (5, 6)])
+    assert lower_bounds(g).combined == _bounds_by_definition(g, diameter(g))[3] == 5
+    assert balls == [0, 0, 1]
+
+
 def _bounds_by_definition(g, diam):
     """(size, delta, regular33, combined) from the definitions and a BFS diameter."""
     size = 1
