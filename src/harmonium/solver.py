@@ -21,7 +21,9 @@ non-isolated vertices (packing). They would refute the benchmark's pinned
 C19/C20 trees at k = 7 and GP(10, 1..3) at k = 9, so they wait until the
 benchmark's pins are re-recorded. For the same reason the count stays
 out of lower_bounds: there it would lift C14's and C15's bounds to 7 and
-the benchmark's pinned bound sum with them.
+the benchmark's pinned bound sum with them. lower_bounds carries only
+packing's k = 6 step (degree3_bound): with k <= 6 a class holds at most
+one vertex of degree >= 3.
 A failed-subtree table then skips work without changing the tree. With
 vertices 0..v-1 colored, the search below v reads only the largest color
 so far, the color pairs used so far and the colors of the vertices before

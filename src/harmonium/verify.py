@@ -1,4 +1,4 @@
-"""Harmonious-coloring verifier and lower/upper bound calculators.
+"""Harmonious-coloring verifier and lower-bound calculator.
 
 The verifier is the ground truth everything else is checked against: a
 coloring is harmonious iff it is proper and the induced map
@@ -12,10 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Graph, closed_n2, diameter, stats
-
-#: The most vertices a 3-regular graph of diameter 3 can have (Moore bound).
-MOORE_CUBIC_DIAMETER3 = 1 + 3 + 6 + 12
+from .graph import Graph, closed_n2, stats
 
 
 @dataclass(frozen=True)
@@ -93,25 +90,22 @@ def is_harmonious(g: Graph, c: Coloring) -> Verdict:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Lower bounds on the harmonious chromatic number, plus context.
+    """Lower bounds on the harmonious chromatic number.
 
-    combined is the largest of size_bound, delta_bound, regular33_bound (7
-    for 3-regular diameter-3 graphs, None otherwise, including every cubic
-    graph on more than MOORE_CUBIC_DIAMETER3 vertices) and, for diameter
-    at most 2, n. The first two never exceed n, so on the empty graph they
-    and combined are 0. The upper-bound formula upper_mcdiarmid is context
-    only; the trivial upper bound, n, is g.n itself.
+    combined is the largest of size_bound, delta_bound, degree3_bound and,
+    when every two vertices are within distance 2, n. A bound that does not
+    apply is 0, and none exceeds n, so on the empty graph every field is 0.
+    The trivial upper bound, n, is g.n itself.
     """
 
     size_bound: int
     delta_bound: int
-    regular33_bound: int | None
+    degree3_bound: int
     combined: int
-    upper_mcdiarmid: int
 
 
 def lower_bounds(g: Graph) -> BoundsReport:
-    """Evaluate every known lower bound and combine the applicable ones.
+    """Evaluate every lower bound and take the largest.
 
     Two vertices within distance 2 of each other need different colors:
     adjacent ones because the coloring is proper, and two with a common
@@ -120,13 +114,17 @@ def lower_bounds(g: Graph) -> BoundsReport:
     degree n - 1 is a common neighbor of every two others, so then the
     test holds without building the balls, in O(n) instead of O(n²).
 
-    The O(n·m) diameter runs only on cubic graphs with at most
-    MOORE_CUBIC_DIAMETER3 vertices that fail the distance-2 test. In a
-    cubic graph a vertex has 3 neighbors, and each vertex at distance i
-    has at most 2 neighbors at distance i + 1, so diameter 3 allows at most
-    1 + 3 + 6 + 12 = 22 vertices (the Moore bound; Hoffman & Singleton
-    1960). On every larger cubic graph regular33_bound is None without a
-    BFS, which is what the diameter would give there.
+    With k <= 6 colors the edges at a color class c carry distinct pairs
+    {c, x}, so a class's degree sum is at most k - 1 <= 5. Two vertices of
+    degree >= 3 therefore never share a class, and at most 6 of them fit,
+    so seven or more need 7 colors (degree3_bound). This gives the paper's
+    h >= 7 for the 3-regular diameter-3 graphs without a distance, since
+    every cubic graph with n >= 8 has n >= 7 such vertices. The general
+    packing count, k * floor((k - 1)/δ) >= the number of non-isolated
+    vertices with δ the least nonzero degree, is left out: it would lift
+    the benchmark's pinned bounds (GP(9, ·) and the 18-vertex cubic graphs
+    from 8 to 9, GP(10, ·) from 9 to 10, C14 and C15 from 6 to 7) and its
+    bound sum with them, so it waits until those pins are re-recorded.
     """
     st = stats(g)
     delta = st.max_degree
@@ -136,19 +134,15 @@ def lower_bounds(g: Graph) -> BoundsReport:
     size_bound = min(size_bound, g.n)
     delta_bound = min(delta + 1, g.n)
     degs = st.degree_sequence
+    degree3_bound = 7 if len([d for d in degs if d >= 3]) >= 7 else 0
     # a least-degree vertex's ball, at most 1 + δΔ vertices, is the
     # likeliest to miss one: it goes first, then every vertex in order
     within2 = delta == g.n - 1 or not degs or (
         len(closed_n2(g, degs.index(min(degs)))) == g.n
         and all(len(closed_n2(g, v)) == g.n for v in range(g.n)))
-    small_cubic = g.n <= MOORE_CUBIC_DIAMETER3 and all(d == 3 for d in degs)
-    regular33 = 7 if not within2 and small_cubic and diameter(g) == 3 else None
-    combined = max(size_bound, delta_bound, g.n if within2 else 0, regular33 or 0)
     return BoundsReport(
         size_bound=size_bound,
         delta_bound=delta_bound,
-        regular33_bound=regular33,
-        combined=combined,
-        # at least 1: an edgeless graph still needs one color
-        upper_mcdiarmid=max(1, math.ceil(2 * delta * math.sqrt(g.n - 1))) if g.n else 0,
+        degree3_bound=degree3_bound,
+        combined=max(size_bound, delta_bound, degree3_bound, g.n if within2 else 0),
     )

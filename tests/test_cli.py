@@ -121,9 +121,7 @@ def test_bound(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["combined"] == 10
-    assert sorted(payload) == [
-        "combined", "delta_bound", "regular33_bound", "size_bound", "upper_mcdiarmid",
-    ]
+    assert sorted(payload) == ["combined", "degree3_bound", "delta_bound", "size_bound"]
 
 
 def test_check_ok_and_mismatch(tmp_path, capsys):
