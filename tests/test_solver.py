@@ -170,12 +170,13 @@ def test_node_budget_bounds_the_whole_solve():
     assert res.h == 9 and res.nodes_explored == sum(per_k)
 
 
-# The search tree of the index-order, lowest-color-first search: per-k
-# (status, nodes, nodes walked) from the lower bound up to h, and the
-# witness at h. A k refuted at the root is one node; C14's k = 6 walk is
-# pinned in test_class_degree_sums_refute_at_the_root.
+# The search tree of the index-order, lowest-color-first walk (_search, with
+# no refutation at the root): per-k (status, nodes, nodes walked) from the
+# lower bound up to h, and the witness at h. A tree is a property of the
+# walk, so it stays pinned where exists_k answers the k at its root in one
+# node (C14 at k = 6, test_class_degree_sums_refute_at_the_root).
 SEARCH_TREES = {
-    "C14": (cycle(14), {6: (INFEASIBLE, 1, 1), 7: ("witness", 16, 16)},
+    "C14": (cycle(14), {6: (INFEASIBLE, 4_040, 1_297), 7: ("witness", 16, 16)},
             (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 7)),
     "C20": (cycle(20), {7: (INFEASIBLE, 1_888_430, 47_034), 8: ("witness", 4_770, 3_530)},
             (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 5, 3, 6, 4, 7, 5, 8)),
@@ -196,23 +197,40 @@ SEARCH_TREES = {
 
 @pytest.mark.parametrize("name", sorted(SEARCH_TREES))
 def test_search_tree_is_unchanged(name):
+    import harmonium.solver as s
+
     g, per_k, witness = SEARCH_TREES[name]
     for k, (status, nodes, walked) in per_k.items():
-        out = exists_k(g, k)
+        out = s._search(g, k, None, None)
         assert (out.status, out.nodes_explored, out.nodes_walked) == (status, nodes, walked), k
         # a budget of exactly the tree's size finishes; one node less stops
-        assert exists_k(g, k, SolverConfig(node_budget=nodes)).status == status
-        if nodes == 1:
-            continue  # a budget of 0 nodes is rejected
-        short = exists_k(g, k, SolverConfig(node_budget=nodes - 1))
+        assert s._search(g, k, nodes, None).status == status
+        short = s._search(g, k, nodes - 1, None)
         assert (short.status, short.witness) == (BUDGET_EXHAUSTED, None)
         for budget in (nodes // 3, nodes // 2):
-            out = exists_k(g, k, SolverConfig(node_budget=budget))
+            out = s._search(g, k, budget, None)
             assert (out.status, out.nodes_explored) == (BUDGET_EXHAUSTED, budget + 1)
     res = solve(g)
     assert res.h == max(per_k) and res.witness.colors == witness
-    assert res.nodes_explored == sum(nodes for _, nodes, _ in per_k.values())
-    assert res.nodes_walked == sum(walked for _, _, walked in per_k.values())
+    # solve sums exists_k's outcomes from the lower bound up, whether walked
+    # or refuted at the root
+    outs = [exists_k(g, k) for k in per_k]
+    assert outs[-1].witness.colors == witness
+    assert res.nodes_explored == sum(out.nodes_explored for out in outs)
+    assert res.nodes_walked == sum(out.nodes_walked for out in outs)
+
+
+def gnp16(s):
+    """G(16, 0.25) number s: each pair u < v kept with probability 0.25,
+    drawn from Random(f"16/{s}"). Their proofs are long, have fronts too wide
+    for the tables, and are refuted by no count at the root: #9 at k = 7
+    walks 103,373 nodes, #15 at k = 9 65,609, #13 at k = 8 40,056 and #1 at
+    k = 8 20,963, and #1 finds its k = 9 witness at node 11,247."""
+    import random
+
+    from conftest import random_graph
+
+    return random_graph(16, 0.25, random.Random(f"16/{s}"))
 
 
 class _Paused(Exception):
@@ -359,18 +377,20 @@ def test_deep_search_needs_no_recursion():
 
 
 def test_walked_nodes_count_only_what_the_search_entered():
-    # C20's k = 7 proof reuses failed subtrees; franklin's fronts exceed two
-    # vertices past depth 2, and no state repeats before that
-    out = exists_k(cycle(20), 7)
-    assert out.nodes_walked < out.nodes_explored
+    # C22's k = 8 witness search reuses failed subtrees; franklin's fronts
+    # exceed two vertices past depth 2, and no state repeats before that
+    out = exists_k(cycle(22), 8)
+    assert (out.status, out.nodes_explored, out.nodes_walked) == ("witness", 36_699, 12_789)
     out = exists_k(named("franklin"), 8)
     assert out.nodes_walked == out.nodes_explored
 
 
 def test_time_budget_stops_the_search():
-    # proving k = 9 infeasible walks about 1.1M nodes: no subtree is reused
-    g = generalized_petersen(10, 3)
-    out = exists_k(g, 9, SolverConfig(time_budget=0.01))
+    # proving k = 7 infeasible walks 103,373 nodes: no subtree is reused, and
+    # the lower bound is 7, so solve starts with that proof
+    g = gnp16(9)
+    assert lower_bounds(g).combined == 7
+    out = exists_k(g, 7, SolverConfig(time_budget=0.01))
     assert (out.status, out.witness) == (BUDGET_EXHAUSTED, None)
     with pytest.raises(BudgetExceeded):
         solve(g, SolverConfig(time_budget=0.01))
@@ -378,11 +398,11 @@ def test_time_budget_stops_the_search():
 
 def test_an_unspent_time_budget_changes_nothing():
     # both searches pass the deadline check many times (a check every _TICK
-    # nodes), C20's also after reused subtrees
+    # nodes), C22's also after reused subtrees
     import harmonium.solver as s
 
-    for g, k, tree in ((cycle(20), 7, (INFEASIBLE, 1_888_430, 47_034)),
-                       (generalized_petersen(9, 3), 8, (INFEASIBLE, 43_228, 43_228))):
+    for g, k, tree in ((cycle(22), 8, ("witness", 36_699, 12_789)),
+                       (gnp16(13), 8, (INFEASIBLE, 40_056, 40_056))):
         assert tree[1] > s._TICK
         for cfg in (None, SolverConfig(time_budget=60)):
             out = exists_k(g, k, cfg)
@@ -442,8 +462,6 @@ def test_too_many_edges_rejected_without_search():
 
 
 def test_class_degree_sums_refute_at_the_root():
-    import harmonium.solver as s
-
     # enough pairs, but for even k the classes' degree sums come out short
     for g, k in ((cycle(6), 4), (cycle(13), 6), (cycle(14), 6), (cycle(15), 6), (path(28), 8)):
         assert g.m <= k * (k - 1) // 2 and refuted_at_root(g, k), (g.n, k)
@@ -452,20 +470,14 @@ def test_class_degree_sums_refute_at_the_root():
     # the path's k = 8 has 54 > 48 + 2: one node, then k = 9's witness in 31
     res = solve(path(28))
     assert (res.h, res.nodes_explored) == (9, 32)
-    # C14's k = 6 walk, which the count now skips, is still the walk it was
-    out = s._search(cycle(14), 6, None, None)
-    assert (out.status, out.nodes_explored, out.nodes_walked) == (INFEASIBLE, 4040, 1297)
-    short = s._search(cycle(14), 6, 4039, None)
-    assert (short.status, short.nodes_explored) == (BUDGET_EXHAUSTED, 4040)
-    assert s._search(cycle(14), 6, 4040, None).status == INFEASIBLE
     # C24 at k = 8 meets the count with equality, 2m = k(k - 2): no refutation
     assert not refuted_at_root(cycle(24), 8)
     out = exists_k(cycle(24), 8)
     assert (out.status, out.nodes_explored) == ("witness", 178_635)
-    # odd k is left to the walk: C20 at k = 7 and GP(10,3) at k = 9 enter
-    # it and keep their trees, pinned in SEARCH_TREES (1,888,430 nodes) and
-    # test_a_long_proof_splits_at_the_default_constants (1,081,600)
-    for g, k in ((cycle(20), 7), (generalized_petersen(10, 3), 9)):
+    # odd k is left to the walk: the 21-vertex path and G(16, 0.25) #9 at
+    # k = 7 enter it (test_a_long_proof_splits_at_the_default_constants
+    # pins #9's 103,373 nodes)
+    for g, k in ((path(21), 7), (gnp16(9), 7)):
         assert not refuted_at_root(g, k)
         out = exists_k(g, k, SolverConfig(node_budget=1))
         assert (out.status, out.nodes_explored) == (BUDGET_EXHAUSTED, 2), (g.n, k)
@@ -625,25 +637,25 @@ def test_a_walk_with_its_defaults_never_forks(cpus, monkeypatch):
 @linux_only
 def test_a_long_proof_splits_at_the_default_constants(cpus):
     cpus(2)
-    out = exists_k(generalized_petersen(10, 3), 9)
-    assert (out.status, out.nodes_explored) == (INFEASIBLE, 1_081_600)
+    out = exists_k(gnp16(9), 7)
+    assert (out.status, out.nodes_explored) == (INFEASIBLE, 103_373)
     assert len(cpus.forks) == 2 and no_children_left()  # one searcher per CPU
-    # GP(9,3)'s 43,228-node proof splits after its first 4,096 nodes
-    g = generalized_petersen(9, 3)
+    # #13's 40,056-node proof splits after its first 4,096 nodes
+    g = gnp16(13)
     cpus(1)
     one = exists_k(g, 8)
     cpus(2)
     out = exists_k(g, 8)
     assert (out.status, out.nodes_explored) == (one.status, one.nodes_explored) == (
-        INFEASIBLE, 43_228)
+        INFEASIBLE, 40_056)
     assert len(cpus.forks) == 4 and no_children_left()
 
 
 @linux_only
 def test_a_walk_whose_tables_pay_stays_in_one_process_at_the_default_constants(cpus):
     cpus(2)
-    out = exists_k(cycle(20), 7)
-    assert (out.status, out.nodes_explored, out.nodes_walked) == (INFEASIBLE, 1_888_430, 47_034)
+    out = exists_k(cycle(22), 8)
+    assert (out.status, out.nodes_explored, out.nodes_walked) == ("witness", 36_699, 12_789)
     assert cpus.forks == []
 
 
@@ -651,11 +663,12 @@ def test_a_walk_whose_tables_pay_stays_in_one_process_at_the_default_constants(c
 def test_a_walk_whose_tables_pay_stays_in_one_process(cpus, monkeypatch):
     import harmonium.solver as s
 
-    # C20's k = 7 proof reuses a failed subtree within its first 1,000 nodes
+    # C22's k = 8 witness search reuses a failed subtree within its first
+    # 1,000 nodes
     cpus(2)
     monkeypatch.setattr(s, "_SPLIT_AT", 1000)
-    out = exists_k(cycle(20), 7)
-    assert (out.status, out.nodes_explored, out.nodes_walked) == (INFEASIBLE, 1_888_430, 47_034)
+    out = exists_k(cycle(22), 8)
+    assert (out.status, out.nodes_explored, out.nodes_walked) == ("witness", 36_699, 12_789)
     assert cpus.forks == []
 
 
@@ -666,7 +679,7 @@ def test_one_cpu_or_another_thread_never_forks(cpus, monkeypatch):
     import harmonium.solver as s
 
     monkeypatch.setattr(s, "_SPLIT_AT", 1000)
-    g, tree = generalized_petersen(9, 3), (INFEASIBLE, 43_228, 43_228)
+    g, tree = gnp16(13), (INFEASIBLE, 40_056, 40_056)
     cpus(1)
     out = exists_k(g, 8)
     assert (out.status, out.nodes_explored, out.nodes_walked) == tree
@@ -707,16 +720,17 @@ def test_a_child_without_a_result_is_an_error(cpus, monkeypatch, how):
     # searcher 0 holds tasks 0, 2, 4, ...: the merge misses task 0, or task 2
     task = 2 if how == "reports one" else 0
     with pytest.raises(RuntimeError, match=f"search process holding task {task} exited"):
-        exists_k(generalized_petersen(9, 3), 8)
+        exists_k(gnp16(13), 8)
     assert len(cpus.forks) == 2 and no_children_left()
 
 
 @linux_only
 @pytest.mark.parametrize("g, k, cfg, status", [
-    (generalized_petersen(9, 3), 9, None, "witness"),
-    (generalized_petersen(9, 3), 8, None, INFEASIBLE),
-    (generalized_petersen(9, 3), 8, SolverConfig(node_budget=20_000), BUDGET_EXHAUSTED),
-    (generalized_petersen(10, 3), 9, SolverConfig(time_budget=0.05), BUDGET_EXHAUSTED),
+    (gnp16(1), 9, None, "witness"),
+    (gnp16(1), 8, None, INFEASIBLE),
+    (gnp16(1), 8, SolverConfig(node_budget=10_000), BUDGET_EXHAUSTED),
+    # the split at node 65 comes before the first deadline check
+    (gnp16(9), 7, SolverConfig(time_budget=0.01), BUDGET_EXHAUSTED),
 ], ids=["witness", "infeasible", "node budget", "deadline"])
 def test_no_child_outlives_a_split_search(cpus, monkeypatch, g, k, cfg, status):
     import harmonium.solver as s
@@ -732,7 +746,7 @@ def test_no_child_outlives_a_split_search(cpus, monkeypatch, g, k, cfg, status):
 @pytest.mark.parametrize("k, cfg, status", [
     (9, None, "witness"),
     (8, None, INFEASIBLE),
-    (8, SolverConfig(node_budget=20_000), BUDGET_EXHAUSTED),
+    (8, SolverConfig(node_budget=10_000), BUDGET_EXHAUSTED),
 ], ids=["witness", "proof", "node budget"])
 def test_a_split_walks_the_same_nodes_on_every_run(cpus, monkeypatch, k, cfg, status):
     """The merge reads the same reports on every run, so nodes_walked, which
@@ -741,7 +755,7 @@ def test_a_split_walks_the_same_nodes_on_every_run(cpus, monkeypatch, k, cfg, st
 
     cpus(2)
     monkeypatch.setattr(s, "_SPLIT_AT", 64)
-    g = generalized_petersen(9, 3)
+    g = gnp16(1)
     first, second = exists_k(g, k, cfg), exists_k(g, k, cfg)
     assert first == second and first.status == status
     assert len(cpus.forks) == 4 and no_children_left()
@@ -756,12 +770,12 @@ def path_then(tail, g):
 
 @linux_only
 @pytest.mark.parametrize("g, k, budget, tasks_per_worker, paused_tasks", [
-    (generalized_petersen(10, 3), 9, None, 1 << 12, None),
+    (gnp16(15), 9, None, 1 << 13, None),
     (path_then(120, generalized_petersen(10, 3)), 20, 30_000, 32, 1_045),
 ], ids=["expansion", "pause"])
 def test_thousands_of_tasks_are_the_one_process_walk(cpus, monkeypatch, g, k, budget,
                                                      tasks_per_worker, paused_tasks):
-    """Thousands of tasks, from an expansion asked for 8,192 or from the
+    """Thousands of tasks, from an expansion asked for 16,384 or from the
     pause itself. In the expansion one searcher's reports outgrow its pipe,
     so it blocks on a write until the merge reads that pipe; a wait that
     never ended would hang, and the alarm fails the test instead."""
@@ -817,7 +831,7 @@ def test_thousands_of_tasks_are_the_one_process_walk(cpus, monkeypatch, g, k, bu
     assert (out.status, out.witness, out.nodes_explored) == (
         one.status, one.witness, one.nodes_explored)
     assert len(cpus.forks) == len(pipes) == 2 and no_children_left()
-    if not paused_tasks:  # 72 KiB of reports each, against 64 KiB
+    if not paused_tasks:  # about 121 KiB of reports each, against 64 KiB
         assert all(p.read > p.holds for p in pipes), [(p.read, p.holds) for p in pipes]
 
 
