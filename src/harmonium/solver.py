@@ -4,26 +4,30 @@ exists_k colors vertices in index order in one loop over an explicit
 stack, so depth is not bounded by the recursion limit, and keeps each
 color's partners and each vertex's candidates as bitmasks. Three prunes
 keep the search small:
-  - class degree sums: a k that the count below refutes is rejected at
-    the root, before any search,
+  - class degree sums: a k that a count below refutes is rejected at the
+    root, before any search,
   - properness + pair uniqueness against already-colored neighbors,
   - symmetry breaking: a brand-new color must be (max color so far) + 1.
-The count: every edge at color class c carries its own pair {c, x}, so a
-class's degree sum is at most k - 1, and 2m <= k(k - 1). For even k, k - 1
-is odd. A class with no odd-degree vertex has an even degree sum, so at
-most k - 2, and with O odd-degree vertices at most min(O, k) classes reach
-k - 1, so 2m <= k(k - 2) + min(O, k). This refutes C6 at k = 4, C13-C15 at
-k = 6 and the 28-vertex path at k = 8 in one node each. Two more counts
-from the same sums are left out: for odd k with O = 0 every class's sum
-is even, so k(k - 1)/2 - m is neither 1 nor 2, and with δ the least
-nonzero degree, k * floor((k - 1)/δ) must reach the number of
-non-isolated vertices (packing). They would refute the benchmark's pinned
-C19/C20 trees at k = 7 and GP(10, 1..3) at k = 9, so they wait until the
-benchmark's pins are re-recorded. For the same reason the count stays
-out of lower_bounds: there it would lift C14's and C15's bounds to 7 and
-the benchmark's pinned bound sum with them. lower_bounds carries only
-packing's k = 6 step (degree3_bound): with k <= 6 a class holds at most
-one vertex of degree >= 3.
+The counts: every edge at color class c carries its own pair {c, x}, so a
+class's degree sum is at most k - 1, and 2m <= k(k - 1). With O the
+odd-degree vertices, δ the least nonzero degree and N the non-isolated
+vertices, three more follow, each refuting in one node:
+  - even k: k - 1 is odd, so a class with no odd-degree vertex has an even
+    degree sum of at most k - 2, and at most min(O, k) classes reach
+    k - 1: 2m <= k(k - 2) + min(O, k). This refutes C6 at k = 4, C13-C15
+    at k = 6 and the 28-vertex path at k = 8.
+  - odd k with O = 0: every class's sum is even, so each color misses an
+    even number of its k - 1 pairs. The unused pairs then form a graph on
+    the k colors with every degree even, which cannot have 1 or 2 edges:
+    k(k - 1)/2 - m is neither 1 nor 2. This refutes C8 and C9 at k = 5 and
+    C19 and C20 at k = 7.
+  - packing: a class holds at most floor((k - 1)/δ) non-isolated
+    vertices, so k * floor((k - 1)/δ) >= N. This refutes GP(9,3) at k = 8
+    and GP(10, 1..3) at k = 9.
+The counts stay out of lower_bounds: there they would lift C14's and
+C15's bounds to 7 and the benchmark's pinned bound sum with them.
+lower_bounds carries only packing's k = 6 step (degree3_bound): with
+k <= 6 a class holds at most one vertex of degree >= 3.
 A failed-subtree table then skips work without changing the tree. With
 vertices 0..v-1 colored, the search below v reads only the largest color
 so far, the color pairs used so far and the colors of the vertices before
@@ -38,8 +42,9 @@ one-node children. The nodes, witnesses and budget verdicts are those of
 the plain walk. The empty graph's tree is its one leaf: one node, the
 empty witness.
 Every node below the walk's root gets its candidates in O(1) from its
-parent's, so a node without candidates (485,886 of the 1,081,600 nodes of
-GP(10,3)'s k = 9 proof) is counted without being pushed and popped.
+parent's, so a node without candidates (47,644 of the 103,373 nodes of a
+16-vertex random graph's k = 7 proof) is counted without being pushed and
+popped.
 On Linux with two or more CPUs in the process's affinity, exists_k
 pauses a walk that enters 2^12 nodes without reusing a failed subtree,
 and each of W forked searchers, one per CPU, searches every W-th of the
@@ -52,10 +57,13 @@ solve searches only k < n: h = n needs no walk.
 An "infeasible" answer is an exhaustive claim; running out of budget is
 reported as its own outcome, never conflated with infeasibility.
 
-oracle_h is the deliberately dumb counterpart: plain enumeration of all
-assignments with early pair-conflict exit and no symmetry breaking,
-guarded to small graphs. It exists so the solver has something
-independent to agree with.
+oracle_h is the deliberately plain counterpart, guarded to small graphs:
+enumeration of assignments with early pair-conflict exit and one symmetry
+argument. Renaming the colors maps colorings onto colorings, so every
+coloring has a representative that uses its colors in first-use order,
+and a new color is only ever the largest so far + 1. It shares no code
+with the walk: no tables, no O(1) child candidates, no root counts and no
+split. It exists so the solver has something independent to agree with.
 """
 
 from __future__ import annotations
@@ -371,12 +379,15 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
     if k < min(g.n, 1):
         raise ValueError(f"color budget must be >= 1, got {k}")
     cfg = cfg or SolverConfig()
-    # Each edge needs its own color pair, and for even k a class's degree
-    # sum is even, so at most k - 2, unless it holds an odd-degree vertex
-    # (module docstring). The check counts as the one root node the search
-    # would have visited.
+    # Each edge needs its own color pair, so a class's degree sum is at most
+    # k - 1: the counts by parity and by packing (module docstring). The
+    # check counts as the one root node the search would have visited.
+    degrees = [len(a) for a in g.adj if a]
+    odd = sum(d & 1 for d in degrees)
     slack = k * (k - 1) - 2 * g.m
-    if slack < 0 or k % 2 == 0 and slack < k - min(sum(len(a) & 1 for a in g.adj), k):
+    if (slack < 0 or k % 2 == 0 and slack < k - min(odd, k)
+            or k % 2 == 1 and odd == 0 and slack in (2, 4)
+            or k * ((k - 1) // min(degrees, default=1)) < len(degrees)):
         return SearchOutcome(INFEASIBLE, None, 1, 1)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
     workers = _workers()
@@ -429,8 +440,9 @@ def oracle_h(g: Graph) -> int:
     """Brute-force harmonious chromatic number for n <= 9.
 
     Enumerates assignments V -> [k] for k = 1..n in colexicographic
-    order, abandoning a partial assignment as soon as it repeats a color
-    pair or breaks properness. Independent of the pruned solver.
+    order, each new color the largest so far + 1, abandoning a partial
+    assignment as soon as it repeats a color pair or breaks properness.
+    Independent of the pruned solver.
     """
     if g.n > ORACLE_MAX_N:
         raise ValueError(f"oracle guarded to n <= {ORACLE_MAX_N}, got {g.n}")
@@ -441,6 +453,7 @@ def oracle_h(g: Graph) -> int:
 
     def feasible(k: int) -> bool:
         assign = [0] * n
+        top = [0] * n  # top[v]: the largest color among vertices 0..v-1
         used: set[tuple[int, int]] = set()
         stack: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         v = 0
@@ -449,7 +462,7 @@ def oracle_h(g: Graph) -> int:
             for p in stack[v]:
                 used.discard(p)
             stack[v].clear()
-            if c > k:
+            if c > min(k, top[v] + 1):
                 assign[v] = 0
                 v -= 1
                 if v < 0:
@@ -475,6 +488,7 @@ def oracle_h(g: Graph) -> int:
                 continue
             if v == n - 1:
                 return True
+            top[v + 1] = max(top[v], c)
             v += 1
 
     for k in range(1, n + 1):

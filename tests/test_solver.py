@@ -69,6 +69,35 @@ def test_oracle_examples():
     assert oracle_h(two_k2) == 3
 
 
+def plain_oracle_h(g):
+    """The oracle without symmetry breaking: every assignment V -> [k] for
+    k = 1..n, abandoning a partial one as soon as it repeats a color pair or
+    breaks properness."""
+    back = [[u for u in g.adj[v] if u < v] for v in range(g.n)]
+
+    def extend(k, assign, pairs):
+        v = len(assign)
+        if v == g.n:
+            return True
+        for c in range(1, k + 1):
+            new = {frozenset((c, assign[u])) for u in back[v]}
+            if c not in (assign[u] for u in back[v]) and len(new) == len(back[v]) \
+                    and not new & pairs and extend(k, assign + [c], pairs | new):
+                return True
+        return False
+
+    return next(k for k in range(g.n + 1) if extend(k, [], set()))
+
+
+def test_oracle_symmetry_breaking_loses_no_coloring():
+    # first-use order loses no k: on every labeled graph with n <= 5 the
+    # oracle agrees with the enumeration of every assignment
+    from conftest import labeled_graphs
+
+    for g in labeled_graphs(5):
+        assert oracle_h(g) == plain_oracle_h(g), g.edges
+
+
 def test_oracle_guard():
     with pytest.raises(ValueError):
         oracle_h(complete(10))
@@ -215,7 +244,6 @@ def test_search_tree_is_unchanged(name):
     # solve sums exists_k's outcomes from the lower bound up, whether walked
     # or refuted at the root
     outs = [exists_k(g, k) for k in per_k]
-    assert outs[-1].witness.colors == witness
     assert res.nodes_explored == sum(out.nodes_explored for out in outs)
     assert res.nodes_walked == sum(out.nodes_walked for out in outs)
 
@@ -280,12 +308,22 @@ def reference_walk(g, k, pause=None):
     return nodes, tuple(color) if found else None
 
 
-def refuted_at_root(g, k):
-    """The class degree sum count: a class's edges carry distinct pairs, so
-    its degree sum is at most k - 1, and for even k at most k - 2 unless the
-    class holds an odd-degree vertex."""
-    odd = sum(len(nbrs) % 2 for nbrs in g.adj)
-    return 2 * g.m > (k * (k - 2) + min(odd, k) if k % 2 == 0 else k * (k - 1))
+def root_counts(g, k):
+    """The class degree sum counts that refute k. A class's edges carry
+    distinct pairs, so its degree sum is at most k - 1 and the m edges need
+    m of the k(k - 1)/2 pairs ("pairs"). For even k a class's sum is at most
+    k - 2 unless it holds an odd-degree vertex ("even k"). For odd k and no
+    odd-degree vertex each color misses an even number of pairs, so the
+    unused pairs are not 1 or 2 ("odd k"). A class holds at most
+    (k - 1) // δ of the non-isolated vertices ("packing")."""
+    degrees = [len(nbrs) for nbrs in g.adj if nbrs]
+    odd = sum(d % 2 for d in degrees)
+    unused = k * (k - 1) // 2 - g.m
+    fired = {"pairs": unused < 0,
+             "even k": k % 2 == 0 and 2 * g.m > k * (k - 2) + min(odd, k),
+             "odd k": k % 2 == 1 and odd == 0 and unused in (1, 2),
+             "packing": bool(degrees) and k * ((k - 1) // min(degrees)) < len(degrees)}
+    return {name for name, fires in fired.items() if fires}
 
 
 def random_tree(n, rng):
@@ -294,6 +332,7 @@ def random_tree(n, rng):
 
 def test_node_counts_match_a_plain_recursive_walk():
     import random
+    from collections import Counter
 
     import harmonium.solver as s
     from conftest import random_graph
@@ -305,7 +344,7 @@ def test_node_counts_match_a_plain_recursive_walk():
     rng = random.Random(23)
     graphs += [cycle(n) for n in range(3, 17)] + [path(n) for n in range(2, 17)]
     graphs += [random_tree(rng.randint(2, 16), rng) for _ in range(20)]
-    refuted = parity = 0
+    refuted, fired = 0, Counter()
     for g in graphs:
         for k in range(1, g.n + 1):
             nodes, witness = reference_walk(g, k)
@@ -321,19 +360,21 @@ def test_node_counts_match_a_plain_recursive_walk():
             assert (full.status, full.nodes_explored, full.witness) == (
                 out.status, nodes, out.witness), (g.edges, k)
             # exists_k answers a refuted k at its root and walks every other
-            if refuted_at_root(g, k):
+            counts = root_counts(g, k)
+            if counts:
                 assert witness is None, (g.edges, k)
                 got = exists_k(g, k)
                 assert (got.status, got.nodes_explored, got.nodes_walked) == (
                     INFEASIBLE, 1, 1), (g.edges, k)
                 refuted += 1
-                parity += g.m <= k * (k - 1) // 2
+                if "pairs" not in counts:
+                    fired.update(counts)
             else:
                 got = exists_k(g, k, SolverConfig(node_budget=nodes))
                 assert (got.status, got.nodes_explored, got.witness) == (
                     out.status, nodes, out.witness), (g.edges, k)
-    # 16 of the refuted k have enough pairs and fail only the parity count
-    assert (refuted, parity) == (729, 16), (refuted, parity)
+    # the refuted k that have enough pairs, by the counts that fire on them
+    assert (refuted, fired) == (736, {"even k": 16, "packing": 13, "odd k": 2}), (refuted, fired)
 
 
 def test_pause_tasks_match_a_plain_recursive_walk():
@@ -458,49 +499,75 @@ def test_too_many_edges_rejected_without_search():
     out = exists_k(g, 5)
     assert out.status == INFEASIBLE
     assert out.nodes_explored == 1
-    assert exists_k(g, 6).nodes_explored > 1  # 15 pairs: the search runs
+    # C10's 10 edges fit 5 colors' 10 pairs exactly: the search runs (6
+    # colors' 15 pairs would fit Petersen's 15 edges, but packing refutes it)
+    out = exists_k(cycle(10), 5)
+    assert out.feasible and out.nodes_explored > 1
 
 
 def test_class_degree_sums_refute_at_the_root():
-    # enough pairs, but for even k the classes' degree sums come out short
-    for g, k in ((cycle(6), 4), (cycle(13), 6), (cycle(14), 6), (cycle(15), 6), (path(28), 8)):
-        assert g.m <= k * (k - 1) // 2 and refuted_at_root(g, k), (g.n, k)
+    # enough pairs, but the classes' degree sums come out short: each count
+    # refutes some graph alone, in one node
+    cases = [(cycle(6), 4, {"even k", "packing"}), (cycle(13), 6, {"even k", "packing"}),
+             (cycle(14), 6, {"even k", "packing"}), (cycle(15), 6, {"even k", "packing"}),
+             (path(28), 8, {"even k"}),
+             (cycle(8), 5, {"odd k"}), (cycle(9), 5, {"odd k"}),
+             (cycle(19), 7, {"odd k"}), (cycle(20), 7, {"odd k"}),
+             (generalized_petersen(9, 3), 8, {"packing"})]
+    cases += [(generalized_petersen(10, r), 9, {"packing"}) for r in (1, 2, 3)]
+    for g, k, counts in cases:
+        assert g.m <= k * (k - 1) // 2 and root_counts(g, k) == counts, (g.n, k)
         out = exists_k(g, k)
         assert (out.status, out.nodes_explored, out.nodes_walked) == (INFEASIBLE, 1, 1), (g.n, k)
     # the path's k = 8 has 54 > 48 + 2: one node, then k = 9's witness in 31
     res = solve(path(28))
     assert (res.h, res.nodes_explored) == (9, 32)
-    # C24 at k = 8 meets the count with equality, 2m = k(k - 2): no refutation
-    assert not refuted_at_root(cycle(24), 8)
+    # C20's k = 7 has one pair to spare, 21 - 20: one node, then k = 8's
+    # witness (the walks of both are pinned in SEARCH_TREES)
+    res = solve(cycle(20))
+    assert (res.h, res.nodes_explored) == (8, 1 + 4_770)
+    # C24 at k = 8 meets the even-k count and packing with equality,
+    # 2m = k(k - 2) and 8 * (7 // 2) = 24 vertices: no refutation
+    assert not root_counts(cycle(24), 8)
     out = exists_k(cycle(24), 8)
     assert (out.status, out.nodes_explored) == ("witness", 178_635)
-    # odd k is left to the walk: the 21-vertex path and G(16, 0.25) #9 at
-    # k = 7 enter it (test_a_long_proof_splits_at_the_default_constants
-    # pins #9's 103,373 nodes)
-    for g, k in ((path(21), 7), (gnp16(9), 7)):
-        assert not refuted_at_root(g, k)
+    # odd k with odd-degree vertices is left to the walk. The 21-vertex path
+    # at k = 7 also has one pair to spare, but its two ends have odd degree,
+    # and it has a witness; G(16, 0.25) #9 walks a 103,373-node proof
+    # (test_a_long_proof_splits_at_the_default_constants)
+    for g, k, status in ((path(21), 7, "witness"), (gnp16(9), 7, INFEASIBLE)):
+        assert not root_counts(g, k)
         out = exists_k(g, k, SolverConfig(node_budget=1))
         assert (out.status, out.nodes_explored) == (BUDGET_EXHAUSTED, 2), (g.n, k)
+        assert exists_k(g, k).status == status, (g.n, k)
 
 
 def test_root_refutation_is_exact_on_every_small_labeled_graph():
-    # every labeled graph with n <= 5: exists_k's answer is brute force's,
-    # and it answers in one node exactly where the count fires
+    # every labeled graph with n <= 6: no k that a count refutes reaches h,
+    # and exists_k answers it in one node; with n <= 5 exists_k's answer is
+    # brute force's at every k, and it is one node exactly where a count fires
+    from collections import Counter
+
     from conftest import labeled_graphs
 
-    graphs = fired = parity = 0
-    for g in labeled_graphs(5):
+    graphs, refuted, fired = 0, 0, Counter()
+    for g in labeled_graphs(6):
         h = oracle_h(g)
         graphs += 1
         for k in range(1, g.n + 2):
+            counts = root_counts(g, k)
+            refuted += bool(counts)
+            if "pairs" not in counts:
+                fired.update(counts)
+            assert not counts or k < h, (g.edges, k, counts)
+            if g.n == 6 and not counts:
+                continue
             out = exists_k(g, k)
             assert out.feasible == (k >= h), (g.edges, k)
-            assert (out.nodes_explored == 1) == refuted_at_root(g, k), (g.edges, k)
-            if refuted_at_root(g, k):
-                fired += 1
-                parity += g.m <= k * (k - 1) // 2
-    # 157 of the refuted k have enough pairs and fail only the even-k count
-    assert (graphs, fired, parity) == (1099, 3371, 157)
+            assert (out.nodes_explored == 1) == bool(counts), (g.edges, k)
+    # the refuted k that have enough pairs, by the counts that fire on them
+    assert (graphs, refuted) == (33_867, 129_396), (graphs, refuted)
+    assert fired == {"even k": 2_789, "packing": 1_356, "odd k": 315}, fired
 
 
 def test_invalid_witness_raises_under_optimize():
