@@ -121,10 +121,11 @@ def lower_bounds(g: Graph) -> BoundsReport:
     h >= 7 for the 3-regular diameter-3 graphs without a distance, since
     every cubic graph with n >= 8 has n >= 7 such vertices. The general
     packing count, k * floor((k - 1)/δ) >= the number of non-isolated
-    vertices with δ the least nonzero degree, is left out: it would lift
-    the benchmark's pinned bounds (GP(9, ·) and the 18-vertex cubic graphs
-    from 8 to 9, GP(10, ·) from 9 to 10, C14 and C15 from 6 to 7) and its
-    bound sum with them, so it waits until those pins are re-recorded.
+    vertices with δ the least nonzero degree, refutes k at exists_k's root
+    but is left out here: it would lift the benchmark's pinned bounds
+    (GP(9, ·) and the 18-vertex cubic graphs from 8 to 9, GP(10, ·) from 9
+    to 10, C14 and C15 from 6 to 7) and its bound sum with them, so it
+    waits until those pins are re-recorded.
     """
     st = stats(g)
     delta = st.max_degree
