@@ -203,7 +203,8 @@ def test_node_budget_bounds_the_whole_solve():
 # no refutation at the root): per-k (status, nodes, nodes walked) from the
 # lower bound up to h, and the witness at h. A tree is a property of the
 # walk, so it stays pinned where exists_k answers the k at its root in one
-# node (C14 at k = 6, test_class_degree_sums_refute_at_the_root).
+# node (C14 at k = 6, C20 at k = 7, GP(9, 3) at k = 8;
+# test_class_degree_sums_refute_at_the_root).
 SEARCH_TREES = {
     "C14": (cycle(14), {6: (INFEASIBLE, 4_040, 1_297), 7: ("witness", 16, 16)},
             (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 7)),
@@ -239,13 +240,16 @@ def test_search_tree_is_unchanged(name):
         for budget in (nodes // 3, nodes // 2):
             out = s._search(g, k, budget, None)
             assert (out.status, out.nodes_explored) == (BUDGET_EXHAUSTED, budget + 1)
+    # exists_k answers a k a count refutes in one node and walks the pinned
+    # tree of every other; solve sums those outcomes from the lower bound up
+    expect = [(INFEASIBLE, 1, 1) if root_counts(g, k) else t for k, t in per_k.items()]
+    for k, tree in zip(per_k, expect):
+        out = exists_k(g, k)
+        assert (out.status, out.nodes_explored, out.nodes_walked) == tree, k
     res = solve(g)
     assert res.h == max(per_k) and res.witness.colors == witness
-    # solve sums exists_k's outcomes from the lower bound up, whether walked
-    # or refuted at the root
-    outs = [exists_k(g, k) for k in per_k]
-    assert res.nodes_explored == sum(out.nodes_explored for out in outs)
-    assert res.nodes_walked == sum(out.nodes_walked for out in outs)
+    assert res.nodes_explored == sum(nodes for _, nodes, _ in expect)
+    assert res.nodes_walked == sum(walked for _, _, walked in expect)
 
 
 def gnp16(s):
@@ -259,6 +263,18 @@ def gnp16(s):
     from conftest import random_graph
 
     return random_graph(16, 0.25, random.Random(f"16/{s}"))
+
+
+def long_proof():
+    """G(36, 0.10) number 4, drawn as gnp16's graphs are: its lower bound is
+    k = 12, no count refutes that k at the root (m = C(12, 2) and 12
+    odd-degree vertices), and its walk has no answer within 2M nodes, far
+    past any deadline a test sets."""
+    import random
+
+    from conftest import random_graph
+
+    return random_graph(36, 0.10, random.Random("36/4"))
 
 
 class _Paused(Exception):
@@ -427,11 +443,11 @@ def test_walked_nodes_count_only_what_the_search_entered():
 
 
 def test_time_budget_stops_the_search():
-    # proving k = 7 infeasible walks 103,373 nodes: no subtree is reused, and
-    # the lower bound is 7, so solve starts with that proof
-    g = gnp16(9)
-    assert lower_bounds(g).combined == 7
-    out = exists_k(g, 7, SolverConfig(time_budget=0.01))
+    # the walk at k = 12 outlasts the deadline, and the lower bound is 12,
+    # so solve starts with that walk
+    g = long_proof()
+    assert lower_bounds(g).combined == 12
+    out = exists_k(g, 12, SolverConfig(time_budget=0.01))
     assert (out.status, out.witness) == (BUDGET_EXHAUSTED, None)
     with pytest.raises(BudgetExceeded):
         solve(g, SolverConfig(time_budget=0.01))
@@ -797,7 +813,7 @@ def test_a_child_without_a_result_is_an_error(cpus, monkeypatch, how):
     (gnp16(1), 8, None, INFEASIBLE),
     (gnp16(1), 8, SolverConfig(node_budget=10_000), BUDGET_EXHAUSTED),
     # the split at node 65 comes before the first deadline check
-    (gnp16(9), 7, SolverConfig(time_budget=0.01), BUDGET_EXHAUSTED),
+    (long_proof(), 12, SolverConfig(time_budget=0.01), BUDGET_EXHAUSTED),
 ], ids=["witness", "infeasible", "node budget", "deadline"])
 def test_no_child_outlives_a_split_search(cpus, monkeypatch, g, k, cfg, status):
     import harmonium.solver as s
