@@ -16,8 +16,8 @@ and writes the artifact there or to stdout, its JSON summary to stderr.
 witness); `--json` prints them as one object, the text mode as
 `key=value` lines. nodes_explored counts the nodes of the trees searched
 (h = n needs none), nodes_walked the ones the search entered rather than
-reused; a long proof may split across the CPUs (solver.exists_k), and
-then only nodes_walked varies, with the CPU count and a deadline.
+reused; both are the same on every run and machine unless --budget-secs
+stops the search.
 """
 
 from __future__ import annotations

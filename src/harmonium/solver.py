@@ -45,14 +45,8 @@ Every node below the walk's root gets its candidates in O(1) from its
 parent's, so a node without candidates (47,644 of the 103,373 nodes of a
 16-vertex random graph's k = 7 proof) is counted without being pushed and
 popped.
-On Linux with two or more CPUs in the process's affinity, exists_k
-pauses a walk that enters 2^12 nodes without reusing a failed subtree,
-and each of W forked searchers, one per CPU, searches every W-th of the
-rest of its tree's prefix tasks in DFS order (split.py); a walk whose
-tables pay stays in one process. The caller only merges the reports in
-DFS order, so status, witness, nodes_explored and budget stops are the
-one-process walk's; nodes_walked sums its walk and the reports it read,
-the same on every run for a given CPU count unless a deadline stops it.
+Every walk runs in the calling process, so its counts, nodes_walked
+included, are the same on every run and machine unless a deadline stops it.
 solve searches only k < n: h = n needs no walk.
 An "infeasible" answer is an exhaustive claim; running out of budget is
 reported as its own outcome, never conflated with infeasibility.
@@ -62,13 +56,12 @@ enumeration of assignments with early pair-conflict exit and one symmetry
 argument. Renaming the colors maps colorings onto colorings, so every
 coloring has a representative that uses its colors in first-use order,
 and a new color is only ever the largest so far + 1. It shares no code
-with the walk: no tables, no O(1) child candidates, no root counts and no
-split. It exists so the solver has something independent to agree with.
+with the walk: no tables, no O(1) child candidates and no root counts. It
+exists so the solver has something independent to agree with.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -79,7 +72,7 @@ from .verify import Coloring, is_harmonious, lower_bounds
 INFEASIBLE = "infeasible"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
-ORACLE_MAX_N = 9
+ORACLE_MAX_N = 12
 
 
 class BudgetExceeded(Exception):
@@ -109,7 +102,7 @@ class SearchOutcome:
     status: str  # "witness" | INFEASIBLE | BUDGET_EXHAUSTED
     witness: Coloring | None
     nodes_explored: int  # nodes of the search tree
-    nodes_walked: int  # nodes the walk entered; a split's sums the reports its merge read
+    nodes_walked: int  # nodes the walk entered: nodes_explored less the reused subtrees
 
     @property
     def feasible(self) -> bool:
@@ -134,26 +127,9 @@ _NEVER = sys.maxsize
 # nodes of GP(10,3) at k = 9 for a 50 MB tracemalloc peak, and a cap of 3
 # walks the same nodes as 2 on the exact ladder's fixed instances.
 _FRONT_CAP = 2
-# exists_k pauses a walk that enters this many nodes without reusing a
-# failed subtree and splits the rest of its tree across the CPUs (split.run).
-# 2^16 kept 59 % of cubic18-1's k = 8 proof and 14-20 % of GP(10,1)'s and
-# GP(10,2)'s k = 9 proofs on one CPU; 2^12 splits them after 1-4 % of it.
-_SPLIT_AT = 1 << 12
 
 
-def _workers() -> int:
-    """Processes a search may split across: the CPUs in this process's
-    affinity on Linux, and 1 elsewhere or while another thread runs, since
-    a forked child holds only the calling thread."""
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "sched_getaffinity") or threading and threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
-            prefix: tuple[int, ...] = (), pause: int = _NEVER
-            ) -> SearchOutcome | tuple[int, list[tuple[int, ...]]]:
+def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None) -> SearchOutcome:
     """Backtracking over the vertices in index order, with an explicit stack.
 
     used[c] is the bitmask of the colors already paired with c. The
@@ -176,8 +152,8 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
     ends the search, so a failed subtree entered at n - 2 is that node plus
     one-node children, and a lookup there saves no more than it costs.
 
-    Only the root's candidates come from its back neighbors; every other
-    node gets them in O(1) from its parent. A node v with candidates fixes
+    The root, vertex 0, has no back neighbors; every other node gets its
+    candidates in O(1) from its parent. A node v with candidates fixes
     the part of its child w = v + 1's that v's color leaves alone: rm, the
     colors of R = back[w] minus v (empty at the leaf w = n), and the OR of
     used[x] over x in rm (all colors, so no candidate, when R's colors
@@ -189,19 +165,10 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
     allowed[max(maxc, c)] minus rm, the OR, b when rm & mask, and mask when
     rm & b. A dead child is counted as its one node and v goes on to its
     next candidate; a live child, or any child when the next node reaches
-    a budget, deadline or pause check, is pushed and entered, so every
-    check fires at the node it did. A tabled depth builds and looks up its
-    key only for a node with candidates: one without is a one-node
-    subtree, never stored.
-
-    prefix colors vertices 0..len(prefix)-1 as the walk would have (each
-    color one of its candidates there), and the walk covers only the
-    subtree below: its root is the first node, and backtracking past it
-    ends the walk. A walk that enters more than pause nodes without reusing
-    any failed subtree stops before the next node and returns (nodes,
-    tasks): the rest of its tree as prefixes in DFS order, the current node
-    first, then each depth's untried colors, deepest depth first. A walk
-    that has reused one passes its pause and goes on.
+    a budget or deadline check, is pushed and entered, so every check fires
+    at the node it did. A tabled depth builds and looks up its key only for
+    a node with candidates: one without is a one-node subtree, never
+    stored.
     """
     n = g.n
     k = min(k, n)  # maxc < n, so no color above n is tried: k sizes nothing
@@ -234,27 +201,12 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
     starts = [_NEVER] * n  # never written at an untabled depth
     rms = [0] * n
     fixed = [0] * n
-    maxc = max(prefix, default=0)
-    for v, c in enumerate(prefix):
-        color[v] = c
-        for u in back[v]:
-            used[color[u]] |= 1 << c
-            used[c] |= 1 << color[u]
-    start = v = len(prefix)
-    # the root's candidates: none if two back neighbors share a color
-    mask = forbid = 0
-    for u in back[v]:
-        cu = color[u]
-        bit = 1 << cu
-        if mask & bit:
-            forbid = -1
-            break
-        mask |= bit
-        forbid |= used[cu]
-    cands = allowed[maxc] & ~(mask | forbid)
+    # the root, vertex 0 (the leaf when n == 0), has no back neighbors
+    v = maxc = mask = 0
+    cands = allowed[0]
     stop = _NEVER if node_budget is None else node_budget + 1
     tick = _NEVER if deadline is None else _TICK
-    check_at = min(stop, tick, pause + 1)
+    check_at = min(stop, tick)
     nodes = reused = 0
     while True:
         # v is entered with its candidates cands and its back colors' mask
@@ -281,22 +233,8 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
         if nodes >= check_at:
             if nodes >= stop or nodes >= tick and time.monotonic() > deadline:
                 return SearchOutcome(BUDGET_EXHAUSTED, None, min(nodes, stop), nodes - reused)
-            if nodes >= tick:
-                tick = nodes + _TICK
-            if nodes > pause:
-                if reused:
-                    pause = _NEVER  # tables that pay: the walk goes on alone
-                else:
-                    # no subtree was reused, so this node's step was 1
-                    tasks = [tuple(color[:v])]
-                    for d in range(v - 1, start - 1, -1):
-                        cands = untried[d]
-                        while cands:
-                            bit = cands & -cands
-                            cands ^= bit
-                            tasks.append((*color[:d], bit.bit_length() - 1))
-                    return nodes - 1, tasks
-            check_at = min(stop, tick, pause + 1)
+            tick = nodes + _TICK
+            check_at = min(stop, tick)
         if v == n:
             return SearchOutcome("witness", Coloring(tuple(color)), nodes, nodes - reused)
         if cands:
@@ -321,7 +259,7 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None,
                 if nodes > starts[v] + 1:
                     tables[v][keys[v]] = nodes - starts[v]
                 v -= 1
-                if v < start:
+                if v < 0:
                     return SearchOutcome(INFEASIBLE, None, nodes, nodes - reused)
                 c = color[v]
                 bit = 1 << c
@@ -369,11 +307,7 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
     """Decide whether g has a harmonious k-coloring.
 
     Returns a witness, an exhaustive INFEASIBLE, or BUDGET_EXHAUSTED.
-    Only the empty graph may ask for k = 0. When two or more CPUs can run
-    the walk (_workers), it pauses at _SPLIT_AT nodes and split.run has
-    one forked process per CPU search a stripe of the rest while this one
-    merges; the outcome is the one-process walk's, and nodes_walked varies
-    only with the CPU count and a deadline. A witness that fails
+    Only the empty graph may ask for k = 0. A witness that fails
     verification raises RuntimeError.
     """
     if k < min(g.n, 1):
@@ -390,11 +324,7 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
             or k * ((k - 1) // min(degrees, default=1)) < len(degrees)):
         return SearchOutcome(INFEASIBLE, None, 1, 1)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
-    workers = _workers()
-    out = _search(g, k, cfg.node_budget, deadline, pause=_SPLIT_AT if workers > 1 else _NEVER)
-    if isinstance(out, tuple):
-        from .split import run
-        out = run(g, k, cfg.node_budget, deadline, *out, workers)
+    out = _search(g, k, cfg.node_budget, deadline)
     if out.feasible:
         verdict = is_harmonious(g, out.witness)
         if not verdict.ok:
@@ -437,7 +367,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
 
 
 def oracle_h(g: Graph) -> int:
-    """Brute-force harmonious chromatic number for n <= 9.
+    """Brute-force harmonious chromatic number for n <= 12.
 
     Enumerates assignments V -> [k] for k = 1..n in colexicographic
     order, each new color the largest so far + 1, abandoning a partial

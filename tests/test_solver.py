@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from harmonium import (
@@ -100,14 +98,14 @@ def test_oracle_symmetry_breaking_loses_no_coloring():
 
 def test_oracle_guard():
     with pytest.raises(ValueError):
-        oracle_h(complete(10))
+        oracle_h(complete(13))
 
 
 def test_oracle_agreement(rng):
     from conftest import random_graph
 
-    for _ in range(20):
-        g = random_graph(rng.randint(1, 8), rng.uniform(0.15, 0.7), rng)
+    for _ in range(40):
+        g = random_graph(rng.randint(1, 12), rng.uniform(0.15, 0.7), rng)
         assert solve(g).h == oracle_h(g)
 
 
@@ -117,8 +115,8 @@ def test_h_equal_to_n_is_the_walks_witness_without_a_walk(rng):
     from conftest import random_graph
 
     hits = 0
-    for _ in range(20):
-        g = random_graph(rng.randint(1, 8), rng.uniform(0.15, 0.7), rng)
+    for _ in range(40):
+        g = random_graph(rng.randint(1, 12), rng.uniform(0.15, 0.7), rng)
         if oracle_h(g) == g.n:
             assert solve(g).witness.colors == tuple(range(1, g.n + 1))
             assert exists_k(g, g.n).witness.colors == tuple(range(1, g.n + 1))
@@ -256,8 +254,8 @@ def gnp16(s):
     """G(16, 0.25) number s: each pair u < v kept with probability 0.25,
     drawn from Random(f"16/{s}"). Their proofs are long, have fronts too wide
     for the tables, and are refuted by no count at the root: #9 at k = 7
-    walks 103,373 nodes, #15 at k = 9 65,609, #13 at k = 8 40,056 and #1 at
-    k = 8 20,963, and #1 finds its k = 9 witness at node 11,247."""
+    walks 103,373 nodes, #13 at k = 8 40,056 and #1 at k = 8 20,963, and #1
+    finds its k = 9 witness at node 11,247."""
     import random
 
     from conftest import random_graph
@@ -277,39 +275,22 @@ def long_proof():
     return random_graph(36, 0.10, random.Random("36/4"))
 
 
-class _Paused(Exception):
-    pass
-
-
-def reference_walk(g, k, pause=None):
+def reference_walk(g, k):
     """(nodes, witness) of the plain search tree, by recursion: vertices in
     index order, colors lowest first, a new color only as the largest so far
-    + 1, no tables and no refutation at the root. With pause = p, a tree of
-    more than p nodes stops before node p + 1 and gives (p, frontier): that
-    node's prefix, then each ancestor depth's untried valid colors as
-    prefixes, deepest depth first."""
+    + 1, no tables and no refutation at the root."""
     color, pairs, nodes = [0] * g.n, set(), 0
-    untried = [()] * g.n  # per depth, the valid colors not tried yet
 
     def walk(v, maxc):
         nonlocal nodes
-        if nodes == pause:
-            frontier = [tuple(color[:v])]
-            for d in range(v - 1, -1, -1):
-                frontier += [(*color[:d], c) for c in untried[d]]
-            raise _Paused(frontier)
         nodes += 1
         if v == g.n:
             return True
         back = [color[u] for u in g.adj[v] if u < v]
-        valid = []
         for c in range(1, min(maxc + 1, k) + 1):
             new = {frozenset((c, b)) for b in back}
-            if not (c in back or len(new) < len(back) or new & pairs):
-                valid.append(c)
-        for i, c in enumerate(valid):
-            untried[v] = valid[i + 1:]
-            new = {frozenset((c, b)) for b in back}
+            if c in back or len(new) < len(back) or new & pairs:
+                continue
             color[v] = c
             pairs.update(new)
             if walk(v + 1, max(maxc, c)):
@@ -317,10 +298,7 @@ def reference_walk(g, k, pause=None):
             pairs.difference_update(new)
         return False
 
-    try:
-        found = walk(0, 0)
-    except _Paused as stop:
-        return pause, stop.args[0]
+    found = walk(0, 0)
     return nodes, tuple(color) if found else None
 
 
@@ -393,40 +371,6 @@ def test_node_counts_match_a_plain_recursive_walk():
     assert (refuted, fired) == (736, {"even k": 16, "packing": 13, "odd k": 2}), (refuted, fired)
 
 
-def test_pause_tasks_match_a_plain_recursive_walk():
-    # a walk that pauses before node p + 1 returns p and the open frontier
-    # of the plain tree there; one that has reused a failed subtree by then
-    # does not pause and ends as the unpaused walk
-    import random
-
-    import harmonium.solver as s
-    from conftest import random_graph
-
-    rng = random.Random(22)
-    graphs = [random_graph(rng.randint(1, 10), rng.uniform(0.15, 0.7), rng) for _ in range(60)]
-    graphs += [cycle(n) for n in range(3, 21)] + [path(n) for n in range(2, 21)]
-    graphs += [random_tree(rng.randint(2, 20), rng) for _ in range(20)]
-    paused = reused = 0
-    for g in graphs:
-        for k in range(1, g.n + 1):
-            if g.m > k * (k - 1) // 2:
-                continue  # exists_k answers these without a walk
-            for p in (0, 1, 3, 10, 50):
-                ref = reference_walk(g, k, pause=p)
-                out = s._search(g, k, None, None, pause=p)
-                if isinstance(out, tuple):
-                    assert out == ref, (g.edges, k, p)
-                    paused += 1
-                    continue
-                assert out == s._search(g, k, None, None), (g.edges, k, p)
-                if ref[0] == p and isinstance(ref[1], list):
-                    assert out.nodes_walked < out.nodes_explored, (g.edges, k, p)
-                    reused += 1
-                else:
-                    assert ref == (out.nodes_explored, out.witness and out.witness.colors)
-    assert paused > 1000 and reused > 3, (paused, reused)
-
-
 def test_deep_search_needs_no_recursion():
     g = path(1500)  # 1500 levels deep: a recursive search overflows the stack
     out = exists_k(g, 100)
@@ -440,6 +384,10 @@ def test_walked_nodes_count_only_what_the_search_entered():
     assert (out.status, out.nodes_explored, out.nodes_walked) == ("witness", 36_699, 12_789)
     out = exists_k(named("franklin"), 8)
     assert out.nodes_walked == out.nodes_explored
+    # G(16, 0.25) #1's fronts are too wide to table: its k = 8 proof and
+    # k = 9 witness search walk every node of their 20,963 + 11,247
+    res = solve(gnp16(1))
+    assert (res.h, res.nodes_explored, res.nodes_walked) == (9, 32_210, 32_210)
 
 
 def test_time_budget_stops_the_search():
@@ -550,12 +498,13 @@ def test_class_degree_sums_refute_at_the_root():
     # odd k with odd-degree vertices is left to the walk. The 21-vertex path
     # at k = 7 also has one pair to spare, but its two ends have odd degree,
     # and it has a witness; G(16, 0.25) #9 walks a 103,373-node proof
-    # (test_a_long_proof_splits_at_the_default_constants)
-    for g, k, status in ((path(21), 7, "witness"), (gnp16(9), 7, INFEASIBLE)):
+    for g, k, tree in ((path(21), 7, ("witness", 24, 24)),
+                       (gnp16(9), 7, (INFEASIBLE, 103_373, 103_373))):
         assert not root_counts(g, k)
         out = exists_k(g, k, SolverConfig(node_budget=1))
         assert (out.status, out.nodes_explored) == (BUDGET_EXHAUSTED, 2), (g.n, k)
-        assert exists_k(g, k).status == status, (g.n, k)
+        out = exists_k(g, k)
+        assert (out.status, out.nodes_explored, out.nodes_walked) == tree, (g.n, k)
 
 
 def test_root_refutation_is_exact_on_every_small_labeled_graph():
@@ -600,7 +549,7 @@ from harmonium.families import cycle
 from harmonium.verify import Coloring
 
 assert False, "-O is not in effect"
-s._search = lambda g, k, budget, deadline, pause: s.SearchOutcome(
+s._search = lambda g, k, budget, deadline: s.SearchOutcome(
     "witness", Coloring((1,) * g.n), 0, 0)
 try:
     s.solve(cycle(6))  # h = 5 < n: solve searches from k = 4
@@ -619,7 +568,7 @@ def test_exists_k_checks_the_witness(monkeypatch):
     import harmonium.solver as s
     from harmonium.verify import Coloring
 
-    def bad_search(g, k, budget, deadline, pause):
+    def bad_search(g, k, budget, deadline):
         return s.SearchOutcome("witness", Coloring((1,) * g.n), 0, 0)
 
     monkeypatch.setattr(s, "_search", bad_search)
@@ -636,316 +585,3 @@ def test_edgeless_graph():
     out = exists_k(from_edge_list(0, []), 0)  # the tree is its one leaf
     assert (out.status, out.witness.colors, out.nodes_explored, out.nodes_walked) == (
         "witness", (), 1, 1)
-
-
-# A top-level walk that enters solver._SPLIT_AT nodes without reusing a
-# failed subtree splits the rest of its tree across the CPUs in its affinity.
-linux_only = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                                reason="a search splits only on Linux")
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """set_cpus(n) makes the solver see n CPUs; set_cpus.forks lists the
-    children forked since."""
-    real_fork = os.fork
-    forks = []
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-    monkeypatch.setattr(os, "fork", fork)
-    set_cpus.forks = forks
-    return set_cpus
-
-
-def no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
-
-@linux_only
-def test_a_split_search_is_the_one_process_walk(cpus, monkeypatch):
-    import random
-
-    import harmonium.solver as s
-    import harmonium.split as split
-    from conftest import random_graph
-
-    rng = random.Random(15)
-    cases = forked = 0
-    for _ in range(100):
-        g = random_graph(rng.randint(1, 11), rng.uniform(0.15, 0.7), rng)
-        for k in range(max(1, lower_bounds(g).size_bound), g.n + 1):
-            monkeypatch.setattr(s, "_SPLIT_AT", 1 << 16)
-            cpus(1)
-            count = exists_k(g, k).nodes_explored
-            for budget in sorted({1, 2, max(1, count // 2), max(1, count - 1), count}):
-                cfg = SolverConfig(node_budget=budget)
-                cpus(1)
-                one = exists_k(g, k, cfg)
-                for workers in (2, 4):
-                    cpus(workers)
-                    monkeypatch.setattr(s, "_SPLIT_AT", rng.randint(0, 6))
-                    monkeypatch.setattr(split, "_TASKS_PER_WORKER", rng.randint(1, 4))
-                    forks = len(cpus.forks)
-                    out = exists_k(g, k, cfg)
-                    assert (out.status, out.witness, out.nodes_explored) == (
-                        one.status, one.witness, one.nodes_explored), (g.edges, k, budget)
-                    cases += 1
-                    forked += len(cpus.forks) > forks
-    assert cases > 2000 and forked > 800  # 2,474 cases, 900 of them forked
-    assert no_children_left()
-
-
-@linux_only
-def test_a_walk_with_its_defaults_never_forks(cpus, monkeypatch):
-    import harmonium.solver as s
-
-    cpus(2)
-    monkeypatch.setattr(s, "_SPLIT_AT", 64)
-    out = s._search(generalized_petersen(9, 3), 8, None, None)
-    assert isinstance(out, s.SearchOutcome)
-    assert (out.status, out.nodes_explored, out.nodes_walked) == (INFEASIBLE, 43_228, 43_228)
-    assert cpus.forks == []
-
-
-@linux_only
-def test_a_long_proof_splits_at_the_default_constants(cpus):
-    cpus(2)
-    out = exists_k(gnp16(9), 7)
-    assert (out.status, out.nodes_explored) == (INFEASIBLE, 103_373)
-    assert len(cpus.forks) == 2 and no_children_left()  # one searcher per CPU
-    # #13's 40,056-node proof splits after its first 4,096 nodes
-    g = gnp16(13)
-    cpus(1)
-    one = exists_k(g, 8)
-    cpus(2)
-    out = exists_k(g, 8)
-    assert (out.status, out.nodes_explored) == (one.status, one.nodes_explored) == (
-        INFEASIBLE, 40_056)
-    assert len(cpus.forks) == 4 and no_children_left()
-
-
-@linux_only
-def test_a_walk_whose_tables_pay_stays_in_one_process_at_the_default_constants(cpus):
-    cpus(2)
-    out = exists_k(cycle(22), 8)
-    assert (out.status, out.nodes_explored, out.nodes_walked) == ("witness", 36_699, 12_789)
-    assert cpus.forks == []
-
-
-@linux_only
-def test_a_walk_whose_tables_pay_stays_in_one_process(cpus, monkeypatch):
-    import harmonium.solver as s
-
-    # C22's k = 8 witness search reuses a failed subtree within its first
-    # 1,000 nodes
-    cpus(2)
-    monkeypatch.setattr(s, "_SPLIT_AT", 1000)
-    out = exists_k(cycle(22), 8)
-    assert (out.status, out.nodes_explored, out.nodes_walked) == ("witness", 36_699, 12_789)
-    assert cpus.forks == []
-
-
-@linux_only
-def test_one_cpu_or_another_thread_never_forks(cpus, monkeypatch):
-    import threading
-
-    import harmonium.solver as s
-
-    monkeypatch.setattr(s, "_SPLIT_AT", 1000)
-    g, tree = gnp16(13), (INFEASIBLE, 40_056, 40_056)
-    cpus(1)
-    out = exists_k(g, 8)
-    assert (out.status, out.nodes_explored, out.nodes_walked) == tree
-    # a forked child would hold only the calling thread
-    cpus(2)
-    done = threading.Event()
-    other = threading.Thread(target=done.wait)
-    other.start()
-    try:
-        out = exists_k(g, 8)
-    finally:
-        done.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    assert (out.status, out.nodes_explored, out.nodes_walked) == tree
-    assert cpus.forks == []
-
-
-@linux_only
-@pytest.mark.parametrize("how", ["returns", "raises", "reports one"])
-def test_a_child_without_a_result_is_an_error(cpus, monkeypatch, how):
-    import harmonium.solver as s
-    import harmonium.split as split
-
-    real_work = split._work
-
-    def work_and_quit(g, k, budget, deadline, tasks, pipe):
-        if how == "raises":
-            raise MemoryError
-        if how == "reports one":  # its first task, then half a line
-            real_work(g, k, budget, deadline, tasks[:1], pipe)
-            pipe.write("infeasible 1")
-            pipe.flush()
-
-    cpus(2)
-    monkeypatch.setattr(s, "_SPLIT_AT", 1000)
-    monkeypatch.setattr(split, "_work", work_and_quit)
-    # searcher 0 holds tasks 0, 2, 4, ...: the merge misses task 0, or task 2
-    task = 2 if how == "reports one" else 0
-    with pytest.raises(RuntimeError, match=f"search process holding task {task} exited"):
-        exists_k(gnp16(13), 8)
-    assert len(cpus.forks) == 2 and no_children_left()
-
-
-@linux_only
-@pytest.mark.parametrize("g, k, cfg, status", [
-    (gnp16(1), 9, None, "witness"),
-    (gnp16(1), 8, None, INFEASIBLE),
-    (gnp16(1), 8, SolverConfig(node_budget=10_000), BUDGET_EXHAUSTED),
-    # the split at node 65 comes before the first deadline check
-    (long_proof(), 12, SolverConfig(time_budget=0.01), BUDGET_EXHAUSTED),
-], ids=["witness", "infeasible", "node budget", "deadline"])
-def test_no_child_outlives_a_split_search(cpus, monkeypatch, g, k, cfg, status):
-    import harmonium.solver as s
-
-    cpus(2)
-    monkeypatch.setattr(s, "_SPLIT_AT", 64)
-    out = exists_k(g, k, cfg)
-    assert out.status == status
-    assert len(cpus.forks) == 2 and no_children_left()
-
-
-@linux_only
-@pytest.mark.parametrize("k, cfg, status", [
-    (9, None, "witness"),
-    (8, None, INFEASIBLE),
-    (8, SolverConfig(node_budget=10_000), BUDGET_EXHAUSTED),
-], ids=["witness", "proof", "node budget"])
-def test_a_split_walks_the_same_nodes_on_every_run(cpus, monkeypatch, k, cfg, status):
-    """The merge reads the same reports on every run, so nodes_walked, which
-    sums them, is fixed for a given CPU count, as the other outcomes are."""
-    import harmonium.solver as s
-
-    cpus(2)
-    monkeypatch.setattr(s, "_SPLIT_AT", 64)
-    g = gnp16(1)
-    first, second = exists_k(g, k, cfg), exists_k(g, k, cfg)
-    assert first == second and first.status == status
-    assert len(cpus.forks) == 4 and no_children_left()
-
-
-def path_then(tail, g):
-    """A path on vertices 0..tail-1, then g: a first walk runs down the path
-    and leaves each vertex's untried colors behind as tasks."""
-    edges = [(i, i + 1) for i in range(tail - 1)] + [(tail + u, tail + v) for u, v in g.edges]
-    return from_edge_list(tail + g.n, edges)
-
-
-@linux_only
-@pytest.mark.parametrize("g, k, budget, tasks_per_worker, paused_tasks", [
-    (gnp16(15), 9, None, 1 << 13, None),
-    (path_then(120, generalized_petersen(10, 3)), 20, 30_000, 32, 1_045),
-], ids=["expansion", "pause"])
-def test_thousands_of_tasks_are_the_one_process_walk(cpus, monkeypatch, g, k, budget,
-                                                     tasks_per_worker, paused_tasks):
-    """Thousands of tasks, from an expansion asked for 16,384 or from the
-    pause itself. In the expansion one searcher's reports outgrow its pipe,
-    so it blocks on a write until the merge reads that pipe; a wait that
-    never ended would hang, and the alarm fails the test instead."""
-    import fcntl
-    import signal
-
-    import harmonium.solver as s
-    import harmonium.split as split
-
-    class Counted:
-        """A searcher's pipe, as the parent reads it: the bytes read so far."""
-
-        def __init__(self, pipe):
-            self.pipe, self.read = pipe, 0
-            self.holds = fcntl.fcntl(pipe.fileno(), fcntl.F_GETPIPE_SZ)
-            pipes.append(self)
-
-        def readline(self):
-            line = self.pipe.readline()
-            self.read += len(line)
-            return line
-
-        def close(self):
-            self.pipe.close()
-
-    pipes = []
-    fdopen = os.fdopen
-
-    def count_reads(fd, mode):  # the parent opens its read ends "rb", a searcher its write end "w"
-        pipe = fdopen(fd, mode)
-        return Counted(pipe) if mode == "rb" else pipe
-
-    monkeypatch.setattr(os, "fdopen", count_reads)
-    cfg = SolverConfig(node_budget=budget)
-    cpus(1)
-    one = exists_k(g, k, cfg)
-    cpus(2)
-    monkeypatch.setattr(split, "_TASKS_PER_WORKER", tasks_per_worker)
-    if paused_tasks:
-        nodes, tasks = s._search(g, k, None, None, pause=s._SPLIT_AT)
-        assert len(tasks) == paused_tasks
-
-    def hang(signum, frame):
-        raise TimeoutError("the split search did not finish")
-
-    old = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(120)
-    try:
-        out = exists_k(g, k, cfg)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-    assert (out.status, out.witness, out.nodes_explored) == (
-        one.status, one.witness, one.nodes_explored)
-    assert len(cpus.forks) == len(pipes) == 2 and no_children_left()
-    if not paused_tasks:  # about 121 KiB of reports each, against 64 KiB
-        assert all(p.read > p.holds for p in pipes), [(p.read, p.holds) for p in pipes]
-
-
-def _expand_by_rescans(g, k, tasks, want):
-    """_expand as it was first written, rescanning every entry for the last
-    shallowest prefix before each step: the reference for its entries."""
-    import harmonium.solver as s
-
-    entries = list(tasks)
-    while True:
-        todo = [i for i, e in enumerate(entries) if isinstance(e, tuple)]
-        if not todo or len(todo) >= want:
-            return entries
-        i = min(reversed(todo), key=lambda i: len(entries[i]))
-        out = s._search(g, k, None, None, entries[i], 1)
-        if isinstance(out, tuple):
-            entries[i:i + 1] = [s.SearchOutcome(INFEASIBLE, None, out[0], out[0]), *out[1]]
-        else:
-            entries[i] = out
-
-
-@pytest.mark.parametrize("g, k", [(generalized_petersen(9, 3), 8),
-                                  (generalized_petersen(10, 3), 9),
-                                  (path_then(120, generalized_petersen(10, 3)), 20)],
-                         ids=["GP(9,3)", "GP(10,3)", "path then GP(10,3)"])
-@pytest.mark.parametrize("want", [64, 1024])
-def test_expand_scans_once_per_prefix_length(g, k, want):
-    import harmonium.solver as s
-    import harmonium.split as split
-
-    _, tasks = s._search(g, k, None, None, pause=s._SPLIT_AT)
-    entries = split._expand(g, k, tasks, want)
-    assert entries == _expand_by_rescans(g, k, tasks, want)
-    assert sum(isinstance(e, tuple) for e in entries) >= want
