@@ -4,30 +4,11 @@ exists_k colors vertices in index order in one loop over an explicit
 stack, so depth is not bounded by the recursion limit, and keeps each
 color's partners and each vertex's candidates as bitmasks. Three prunes
 keep the search small:
-  - class degree sums: a k that a count below refutes is rejected at the
-    root, before any search,
+  - class degree sums: a k that a count refutes is rejected at the root,
+    before any search; the counts and their arguments are stated once, in
+    verify.class_counts,
   - properness + pair uniqueness against already-colored neighbors,
   - symmetry breaking: a brand-new color must be (max color so far) + 1.
-The counts: every edge at color class c carries its own pair {c, x}, so a
-class's degree sum is at most k - 1, and 2m <= k(k - 1). With O the
-odd-degree vertices, δ the least nonzero degree and N the non-isolated
-vertices, three more follow, each refuting in one node:
-  - even k: k - 1 is odd, so a class with no odd-degree vertex has an even
-    degree sum of at most k - 2, and at most min(O, k) classes reach
-    k - 1: 2m <= k(k - 2) + min(O, k). This refutes C6 at k = 4, C13-C15
-    at k = 6 and the 28-vertex path at k = 8.
-  - odd k with O = 0: every class's sum is even, so each color misses an
-    even number of its k - 1 pairs. The unused pairs then form a graph on
-    the k colors with every degree even, which cannot have 1 or 2 edges:
-    k(k - 1)/2 - m is neither 1 nor 2. This refutes C8 and C9 at k = 5 and
-    C19 and C20 at k = 7.
-  - packing: a class holds at most floor((k - 1)/δ) non-isolated
-    vertices, so k * floor((k - 1)/δ) >= N. This refutes GP(9,3) at k = 8
-    and GP(10, 1..3) at k = 9.
-The counts stay out of lower_bounds: there they would lift C14's and
-C15's bounds to 7 and the benchmark's pinned bound sum with them.
-lower_bounds carries only packing's k = 6 step (degree3_bound): with
-k <= 6 a class holds at most one vertex of degree >= 3.
 A failed-subtree table then skips work without changing the tree. With
 vertices 0..v-1 colored, the search below v reads only the largest color
 so far, the color pairs used so far and the colors of the vertices before
@@ -66,8 +47,8 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .graph import Graph
-from .verify import Coloring, is_harmonious, lower_bounds
+from .graph import Graph, stats
+from .verify import Coloring, class_counts, is_harmonious, lower_bounds
 
 INFEASIBLE = "infeasible"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -307,21 +288,15 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
     """Decide whether g has a harmonious k-coloring.
 
     Returns a witness, an exhaustive INFEASIBLE, or BUDGET_EXHAUSTED.
-    Only the empty graph may ask for k = 0. A witness that fails
-    verification raises RuntimeError.
+    A k that a class degree-sum count (verify.class_counts) refutes is
+    INFEASIBLE in one node, without a search. Only the empty graph may ask
+    for k = 0. A witness that fails verification raises RuntimeError.
     """
     if k < min(g.n, 1):
         raise ValueError(f"color budget must be >= 1, got {k}")
     cfg = cfg or SolverConfig()
-    # Each edge needs its own color pair, so a class's degree sum is at most
-    # k - 1: the counts by parity and by packing (module docstring). The
-    # check counts as the one root node the search would have visited.
-    degrees = [len(a) for a in g.adj if a]
-    odd = sum(d & 1 for d in degrees)
-    slack = k * (k - 1) - 2 * g.m
-    if (slack < 0 or k % 2 == 0 and slack < k - min(odd, k)
-            or k % 2 == 1 and odd == 0 and slack in (2, 4)
-            or k * ((k - 1) // min(degrees, default=1)) < len(degrees)):
+    # the check counts as the one root node the search would have visited
+    if class_counts(stats(g).degree_sequence)(k):
         return SearchOutcome(INFEASIBLE, None, 1, 1)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
     out = _search(g, k, cfg.node_budget, deadline)
@@ -335,12 +310,14 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
 def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Exact harmonious chromatic number with witness and statistics.
 
-    Iterates exists_k upward from the combined lower bound; h is the
-    first k with a witness, or n with v -> v + 1 and no search: at h = n
-    every coloring uses n distinct colors, and symmetry breaking makes the
-    walk's witness that one. The node and time budgets bound the whole
-    solve: each k gets what the earlier ones left. Budget exhaustion
-    raises BudgetExceeded naming the k it stopped at.
+    Iterates exists_k upward from the combined lower bound, whose
+    count_bound already steps past the k that the class degree-sum counts
+    (verify.class_counts) refute; h is the first k with a witness, or n
+    with v -> v + 1 and no search: at h = n every coloring uses n
+    distinct colors, and symmetry breaking makes the walk's witness that
+    one. The node and time budgets bound the whole solve: each k gets what
+    the earlier ones left. Budget exhaustion raises BudgetExceeded naming
+    the k it stopped at.
     """
     cfg = cfg or SolverConfig()
     t0 = time.monotonic()

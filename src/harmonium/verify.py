@@ -9,6 +9,8 @@ pass over the edges, with one dict operation per edge.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,62 +90,146 @@ def is_harmonious(g: Graph, c: Coloring) -> Verdict:
     return Verdict("ok")
 
 
+def class_counts(degrees: Sequence[int]) -> Callable[[int], str | None]:
+    """The class degree-sum counts for a graph with this degree sequence:
+    a function naming the first count that refutes k colors, or None.
+
+    In a harmonious k-coloring no edge joins two vertices of one class, and
+    every edge at class c carries its own pair {c, x}. So the classes and
+    the pairs the edges use form a simple graph Q on the k colors, in which
+    class c has degree σ_c, the degree sum of its vertices; σ_c <= k - 1.
+    With m edges, O odd-degree vertices and N non-isolated vertices:
+      - "pairs": Q has m edges, so 2m <= k(k - 1).
+      - "even k": k - 1 is odd, so a class with no odd-degree vertex has
+        an even σ_c <= k - 2, and at most min(O, k) classes reach k - 1:
+        2m <= k(k - 2) + min(O, k). This refutes C6 at k = 4, C13-C15 at
+        k = 6 and the 28-vertex path at k = 8.
+      - "odd k", with O = 0: every σ_c and k - 1 are even, so the pairs
+        no edge uses form a graph on the k colors with every degree even,
+        which cannot have 1 or 2 edges: k(k - 1)/2 - m is not 1 or 2. This
+        refutes C8 and C9 at k = 5 and C19 and C20 at k = 7.
+      - "packing": a class holds at most floor((k - 1)/d) vertices of
+        degree >= d, so k * floor((k - 1)/d) >= #{v : deg(v) >= d} for
+        every d. Only the degrees that occur need a check: a d that does
+        not occur counts the same vertices as the next degree that does,
+        with a larger floor. With d = Δ this is k >= Δ + 1; with d = 3 and
+        k <= 6 it is one vertex of degree >= 3 per class, so seven such
+        vertices need 7 colors: the paper's h >= 7 for the cubic graphs
+        of diameter 3, which have n >= 8. It refutes GP(9, 3) at k = 8
+        and GP(10, 1..3) at 9.
+      - "regular", when every non-isolated vertex has degree d: σ_c is d
+        times the class's s_c non-isolated vertices, Σ s_c = N, and
+        (σ_c) is Q's degree sequence, so it is graphical on k vertices.
+        The balanced sizes, N mod k classes of ceil(N/k) and the rest of
+        floor(N/k), are majorized by every size vector summing to N, and a
+        sequence majorized by a graphical one with the same sum is
+        graphical: it is reached by moves of one unit from an entry u to
+        an entry w with σ_u >= σ_w + 2, and each move keeps a realization,
+        since u has a neighbor y != w not adjacent to w, and the edge uy
+        becomes wy. So some size vector passes iff the balanced one does.
+        Its sum, 2m, is even, and a sequence with two values a > b needs
+        the Erdős-Gallai inequality only at the end of each run (Erdős &
+        Gallai 1960; Tripathi & Vijay 2003): at r = N mod k,
+        r·a <= r(r - 1) + (k - r)·min(b, r), and at k, where it is the
+        pairs count. This refutes the 12-vertex cubic graphs of diameter 3
+        at k = 7.
+    Counting up from the size bound, the first k they leave is h(C_n) for
+    every n = 6..24.
+
+    The sequence is read once, in C-level passes (a sort, a sum and a
+    bisection per distinct degree), and each k then costs O(number of
+    distinct degrees).
+    """
+    ds = sorted(degrees)
+    n = len(ds)
+    two_m = sum(ds)
+    tiers = []  # (d, #{v : deg(v) >= d}) per degree d >= 1 that occurs
+    odd = 0
+    i = bisect_right(ds, 0)
+    nonisolated = n - i
+    while i < n:
+        d = ds[i]
+        j = bisect_right(ds, d, i)
+        tiers.append((d, n - i))
+        odd += (j - i) * (d & 1)
+        i = j
+    regular = tiers[0][0] if len(tiers) == 1 else 0
+
+    def refutes(k: int) -> str | None:
+        slack = k * (k - 1) - two_m
+        if slack < 0:
+            return "pairs"
+        if k % 2 == 0 and slack < k - min(odd, k):
+            return "even k"
+        if k % 2 == 1 and not odd and slack in (2, 4):
+            return "odd k"
+        for d, many in tiers:
+            if k * ((k - 1) // d) < many:
+                return "packing"
+        if regular:
+            q, r = divmod(nonisolated, k)
+            if r * regular * (q + 1) > r * (r - 1) + (k - r) * min(regular * q, r):
+                return "regular"
+        return None
+
+    return refutes
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     """Lower bounds on the harmonious chromatic number.
 
-    combined is the largest of size_bound, delta_bound, degree3_bound and,
-    when every two vertices are within distance 2, n. A bound that does not
-    apply is 0, and none exceeds n, so on the empty graph every field is 0.
-    The trivial upper bound, n, is g.n itself.
+    count_bound is the least k, counting up from the larger of size_bound
+    and delta_bound, that no class degree-sum count (class_counts)
+    refutes, and refuted_by names the count that refutes k = count_bound -
+    1, or is None when size_bound or delta_bound sets count_bound. combined
+    is n when every two vertices are within distance 2 and count_bound
+    otherwise. None exceeds n, so on the empty graph every bound is 0. The
+    trivial upper bound, n, is g.n itself.
     """
 
     size_bound: int
     delta_bound: int
-    degree3_bound: int
+    count_bound: int
+    refuted_by: str | None
     combined: int
 
 
 def lower_bounds(g: Graph) -> BoundsReport:
     """Evaluate every lower bound and take the largest.
 
+    The class degree-sum counts are stated once, with their arguments, in
+    class_counts; each k they test costs O(number of distinct degrees).
+
     Two vertices within distance 2 of each other need different colors:
     adjacent ones because the coloring is proper, and two with a common
     neighbor w because equal colors would repeat a pair at w. So h = n
-    when every closed distance-2 ball is the whole vertex set. A vertex of
-    degree n - 1 is a common neighbor of every two others, so then the
-    test holds without building the balls, in O(n) instead of O(n²).
-
-    With k <= 6 colors the edges at a color class c carry distinct pairs
-    {c, x}, so a class's degree sum is at most k - 1 <= 5. Two vertices of
-    degree >= 3 therefore never share a class, and at most 6 of them fit,
-    so seven or more need 7 colors (degree3_bound). This gives the paper's
-    h >= 7 for the 3-regular diameter-3 graphs without a distance, since
-    every cubic graph with n >= 8 has n >= 7 such vertices. The general
-    packing count, k * floor((k - 1)/δ) >= the number of non-isolated
-    vertices with δ the least nonzero degree, refutes k at exists_k's root
-    but is left out here: it would lift the benchmark's pinned bounds
-    (GP(9, ·) and the 18-vertex cubic graphs from 8 to 9, GP(10, ·) from 9
-    to 10, C14 and C15 from 6 to 7) and its bound sum with them, so it
-    waits until those pins are re-recorded.
+    when every closed distance-2 ball is the whole vertex set. The balls
+    are built only when count_bound is below n, so never with a vertex of
+    degree n - 1, a common neighbor of every two others: then delta_bound
+    is n already, and no k is tested either.
     """
     st = stats(g)
-    delta = st.max_degree
     size_bound = math.ceil((1 + math.isqrt(8 * g.m + 1)) / 2)
     if (size_bound * (size_bound - 1)) // 2 < g.m:  # isqrt truncation
         size_bound += 1
     size_bound = min(size_bound, g.n)
-    delta_bound = min(delta + 1, g.n)
+    delta_bound = min(st.max_degree + 1, g.n)
     degs = st.degree_sequence
-    degree3_bound = 7 if len([d for d in degs if d >= 3]) >= 7 else 0
+    refutes = class_counts(degs)
+    count_bound, refuted_by = max(size_bound, delta_bound), None
+    # no valid count refutes k = n, which is always feasible
+    while count_bound < g.n and (why := refutes(count_bound)):
+        count_bound, refuted_by = count_bound + 1, why
     # a least-degree vertex's ball, at most 1 + δΔ vertices, is the
     # likeliest to miss one: it goes first, then every vertex in order
-    within2 = delta == g.n - 1 or not degs or (
+    within2 = count_bound < g.n and (
         len(closed_n2(g, degs.index(min(degs)))) == g.n
         and all(len(closed_n2(g, v)) == g.n for v in range(g.n)))
     return BoundsReport(
         size_bound=size_bound,
         delta_bound=delta_bound,
-        degree3_bound=degree3_bound,
-        combined=max(size_bound, delta_bound, degree3_bound, g.n if within2 else 0),
+        count_bound=count_bound,
+        refuted_by=refuted_by,
+        combined=g.n if within2 else count_bound,
     )

@@ -121,7 +121,10 @@ def test_bound(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["combined"] == 10
-    assert sorted(payload) == ["combined", "degree3_bound", "delta_bound", "size_bound"]
+    assert sorted(payload) == ["combined", "count_bound", "delta_bound", "refuted_by",
+                               "size_bound"]
+    # per-degree packing refutes k = 6, and the distance-2 test gives n
+    assert (payload["count_bound"], payload["refuted_by"]) == (7, "packing")
 
 
 def test_check_ok_and_mismatch(tmp_path, capsys):
@@ -548,6 +551,7 @@ _PINNED_CORPUS = [
     ("solve", "/no/such/file"),
     ("solve", "TMP/bad.edges"),
     ("bound", "name:petersen"),
+    ("bound", "name:planar33_12_1"),
     ("bound", "family:lollipop:6:4"),
     ("bound", "TMP/p3.edges"),
     ("bound", "-"),

@@ -13,7 +13,7 @@ from harmonium import (
     oracle_h,
     solve,
 )
-from harmonium.families import complete, cycle, generalized_petersen, path
+from harmonium.families import complete, cycle, generalized_petersen, lollipop, path, star
 
 
 def test_k4_threshold():
@@ -184,13 +184,15 @@ def test_budget_never_masquerades_as_infeasible():
 
 
 def test_node_budget_bounds_the_whole_solve():
-    # franklin tries k = 7, 8, 9 with 76, 163 and 13 nodes: every k fits in
-    # 200 nodes on its own, but the 252 nodes of the whole solve do not
+    # franklin's lower bound is 8 (the regular count refutes k = 7), and it
+    # tries k = 8, 9 with 163 and 13 nodes: each k fits in 170 nodes on its
+    # own, but the 176 nodes of the whole solve do not
     g = named("franklin")
-    per_k = [exists_k(g, k).nodes_explored for k in (7, 8, 9)]
-    assert max(per_k) < 200 < sum(per_k) == solve(g).nodes_explored
+    assert lower_bounds(g).combined == 8
+    per_k = [exists_k(g, k).nodes_explored for k in (8, 9)]
+    assert max(per_k) < 170 < sum(per_k) == solve(g).nodes_explored
     with pytest.raises(BudgetExceeded):
-        solve(g, SolverConfig(node_budget=200))
+        solve(g, SolverConfig(node_budget=170))
     with pytest.raises(BudgetExceeded):
         solve(g, SolverConfig(node_budget=sum(per_k) - 1))
     res = solve(g, SolverConfig(node_budget=sum(per_k)))
@@ -198,28 +200,29 @@ def test_node_budget_bounds_the_whole_solve():
 
 
 # The search tree of the index-order, lowest-color-first walk (_search, with
-# no refutation at the root): per-k (status, nodes, nodes walked) from the
-# lower bound up to h, and the witness at h. A tree is a property of the
-# walk, so it stays pinned where exists_k answers the k at its root in one
-# node (C14 at k = 6, C20 at k = 7, GP(9, 3) at k = 8;
+# no refutation at the root): per-k (status, nodes, nodes walked) up to h,
+# the witness at h, and solve's node total, which counts only the k from
+# the combined lower bound up. A tree is a property of the walk, so it stays
+# pinned where the lower bound skips its k (C14 at k = 6, C20 at k = 7,
+# GP(9, 3) at k = 8 and yutsis at k = 7;
 # test_class_degree_sums_refute_at_the_root).
 SEARCH_TREES = {
     "C14": (cycle(14), {6: (INFEASIBLE, 4_040, 1_297), 7: ("witness", 16, 16)},
-            (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 7)),
+            (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 7), 16),
     "C20": (cycle(20), {7: (INFEASIBLE, 1_888_430, 47_034), 8: ("witness", 4_770, 3_530)},
-            (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 5, 3, 6, 4, 7, 5, 8)),
+            (1, 2, 3, 1, 4, 2, 5, 1, 6, 2, 7, 3, 4, 5, 3, 6, 4, 7, 5, 8), 4_770),
     "GP7-2": (generalized_petersen(7, 2), {7: ("witness", 422, 422)},
-              (1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7, 1, 2, 3)),
+              (1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7, 1, 2, 3), 422),
     "GP8-3": (generalized_petersen(8, 3), {8: ("witness", 153, 153)},
-              (1, 2, 3, 1, 4, 2, 5, 6, 7, 7, 4, 8, 5, 6, 3, 8)),
+              (1, 2, 3, 1, 4, 2, 5, 6, 7, 7, 4, 8, 5, 6, 3, 8), 153),
     # children both joined to their parent (a spoke) and not (the inner
     # cycle's jumps), under the budget checks
     "GP9-3": (generalized_petersen(9, 3),
               {8: (INFEASIBLE, 43_228, 43_228), 9: ("witness", 198, 198)},
-              (1, 2, 3, 1, 4, 2, 5, 3, 6, 7, 6, 7, 8, 9, 9, 4, 8, 5)),
+              (1, 2, 3, 1, 4, 2, 5, 3, 6, 7, 6, 7, 8, 9, 9, 4, 8, 5), 198),
     "yutsis": (named("yutsis"),
                {7: (INFEASIBLE, 93, 93), 8: (INFEASIBLE, 146, 146), 9: ("witness", 54, 54)},
-               (1, 2, 3, 4, 1, 5, 2, 4, 6, 7, 8, 9)),
+               (1, 2, 3, 4, 1, 5, 2, 4, 6, 7, 8, 9), 200),
 }
 
 
@@ -227,7 +230,9 @@ SEARCH_TREES = {
 def test_search_tree_is_unchanged(name):
     import harmonium.solver as s
 
-    g, per_k, witness = SEARCH_TREES[name]
+    from conftest import root_counts
+
+    g, per_k, witness, solve_nodes = SEARCH_TREES[name]
     for k, (status, nodes, walked) in per_k.items():
         out = s._search(g, k, None, None)
         assert (out.status, out.nodes_explored, out.nodes_walked) == (status, nodes, walked), k
@@ -240,14 +245,15 @@ def test_search_tree_is_unchanged(name):
             assert (out.status, out.nodes_explored) == (BUDGET_EXHAUSTED, budget + 1)
     # exists_k answers a k a count refutes in one node and walks the pinned
     # tree of every other; solve sums those outcomes from the lower bound up
-    expect = [(INFEASIBLE, 1, 1) if root_counts(g, k) else t for k, t in per_k.items()]
-    for k, tree in zip(per_k, expect):
+    expect = {k: (INFEASIBLE, 1, 1) if root_counts(g, k) else t for k, t in per_k.items()}
+    for k, tree in expect.items():
         out = exists_k(g, k)
         assert (out.status, out.nodes_explored, out.nodes_walked) == tree, k
+    tried = [tree for k, tree in expect.items() if k >= lower_bounds(g).combined]
     res = solve(g)
     assert res.h == max(per_k) and res.witness.colors == witness
-    assert res.nodes_explored == sum(nodes for _, nodes, _ in expect)
-    assert res.nodes_walked == sum(walked for _, _, walked in expect)
+    assert res.nodes_explored == sum(nodes for _, nodes, _ in tried) == solve_nodes
+    assert res.nodes_walked == sum(walked for _, _, walked in tried)
 
 
 def gnp16(s):
@@ -302,24 +308,6 @@ def reference_walk(g, k):
     return nodes, tuple(color) if found else None
 
 
-def root_counts(g, k):
-    """The class degree sum counts that refute k. A class's edges carry
-    distinct pairs, so its degree sum is at most k - 1 and the m edges need
-    m of the k(k - 1)/2 pairs ("pairs"). For even k a class's sum is at most
-    k - 2 unless it holds an odd-degree vertex ("even k"). For odd k and no
-    odd-degree vertex each color misses an even number of pairs, so the
-    unused pairs are not 1 or 2 ("odd k"). A class holds at most
-    (k - 1) // δ of the non-isolated vertices ("packing")."""
-    degrees = [len(nbrs) for nbrs in g.adj if nbrs]
-    odd = sum(d % 2 for d in degrees)
-    unused = k * (k - 1) // 2 - g.m
-    fired = {"pairs": unused < 0,
-             "even k": k % 2 == 0 and 2 * g.m > k * (k - 2) + min(odd, k),
-             "odd k": k % 2 == 1 and odd == 0 and unused in (1, 2),
-             "packing": bool(degrees) and k * ((k - 1) // min(degrees)) < len(degrees)}
-    return {name for name, fires in fired.items() if fires}
-
-
 def random_tree(n, rng):
     return from_edge_list(n, [(rng.randrange(v), v) for v in range(1, n)])
 
@@ -329,7 +317,7 @@ def test_node_counts_match_a_plain_recursive_walk():
     from collections import Counter
 
     import harmonium.solver as s
-    from conftest import random_graph
+    from conftest import random_graph, root_counts
 
     rng = random.Random(18)
     graphs = [random_graph(rng.randint(1, 11), rng.uniform(0.15, 0.7), rng) for _ in range(150)]
@@ -368,7 +356,8 @@ def test_node_counts_match_a_plain_recursive_walk():
                 assert (got.status, got.nodes_explored, got.witness) == (
                     out.status, nodes, out.witness), (g.edges, k)
     # the refuted k that have enough pairs, by the counts that fire on them
-    assert (refuted, fired) == (736, {"even k": 16, "packing": 13, "odd k": 2}), (refuted, fired)
+    assert (refuted, fired) == (762, {"even k": 16, "packing": 46, "odd k": 2, "regular": 7}), (
+        refuted, fired)
 
 
 def test_deep_search_needs_no_recursion():
@@ -470,28 +459,40 @@ def test_too_many_edges_rejected_without_search():
 
 
 def test_class_degree_sums_refute_at_the_root():
+    from conftest import root_counts
+
     # enough pairs, but the classes' degree sums come out short: each count
-    # refutes some graph alone, in one node
-    cases = [(cycle(6), 4, {"even k", "packing"}), (cycle(13), 6, {"even k", "packing"}),
-             (cycle(14), 6, {"even k", "packing"}), (cycle(15), 6, {"even k", "packing"}),
-             (path(28), 8, {"even k"}),
-             (cycle(8), 5, {"odd k"}), (cycle(9), 5, {"odd k"}),
-             (cycle(19), 7, {"odd k"}), (cycle(20), 7, {"odd k"}),
-             (generalized_petersen(9, 3), 8, {"packing"})]
-    cases += [(generalized_petersen(10, r), 9, {"packing"}) for r in (1, 2, 3)]
+    # refutes some graph alone (the lollipop, K_{2,4}, the star and the
+    # cubic 12-vertex graphs), in one node
+    k24 = from_edge_list(6, [(u, v) for u in (0, 1) for v in range(2, 6)])
+    cases = [(cycle(6), 4, {"even k", "packing", "regular"}),
+             (cycle(13), 6, {"even k", "packing", "regular"}),
+             (cycle(14), 6, {"even k", "packing", "regular"}),
+             (cycle(15), 6, {"even k", "packing", "regular"}),
+             (path(28), 8, {"even k", "packing"}), (lollipop(5, 5), 6, {"even k"}),
+             (cycle(8), 5, {"odd k", "regular"}), (cycle(9), 5, {"odd k", "regular"}),
+             (cycle(19), 7, {"odd k", "regular"}), (cycle(20), 7, {"odd k", "regular"}),
+             (k24, 5, {"odd k"}), (star(3), 3, {"packing"}),
+             (generalized_petersen(9, 3), 8, {"packing", "regular"})]
+    cases += [(generalized_petersen(10, r), 9, {"packing", "regular"}) for r in (1, 2, 3)]
+    cases += [(named(name), 7, {"regular"}) for name in (
+        "planar33_12_1", "planar33_12_2", "franklin", "yutsis", "truncated_tetrahedron")]
     for g, k, counts in cases:
         assert g.m <= k * (k - 1) // 2 and root_counts(g, k) == counts, (g.n, k)
         out = exists_k(g, k)
         assert (out.status, out.nodes_explored, out.nodes_walked) == (INFEASIBLE, 1, 1), (g.n, k)
-    # the path's k = 8 has 54 > 48 + 2: one node, then k = 9's witness in 31
+    # the path's k = 8 has 54 > 48 + 2, so the lower bound is 9 and solve
+    # walks only k = 9's witness search, 31 nodes
     res = solve(path(28))
-    assert (res.h, res.nodes_explored) == (9, 32)
-    # C20's k = 7 has one pair to spare, 21 - 20: one node, then k = 8's
-    # witness (the walks of both are pinned in SEARCH_TREES)
+    assert (res.h, res.nodes_explored) == (9, 31)
+    # C20's k = 7 has one pair to spare, 21 - 20: the lower bound is 8, and
+    # solve walks k = 8's witness search (pinned in SEARCH_TREES)
     res = solve(cycle(20))
-    assert (res.h, res.nodes_explored) == (8, 1 + 4_770)
+    assert (res.h, res.nodes_explored) == (8, 4_770)
     # C24 at k = 8 meets the even-k count and packing with equality,
-    # 2m = k(k - 2) and 8 * (7 // 2) = 24 vertices: no refutation
+    # 2m = k(k - 2) and 8 * (7 // 2) = 24 vertices, and eight classes of
+    # three make degree sums 6 on 8 colors, a graphical sequence: no
+    # refutation
     assert not root_counts(cycle(24), 8)
     out = exists_k(cycle(24), 8)
     assert (out.status, out.nodes_explored) == ("witness", 178_635)
@@ -510,15 +511,21 @@ def test_class_degree_sums_refute_at_the_root():
 def test_root_refutation_is_exact_on_every_small_labeled_graph():
     # every labeled graph with n <= 6: no k that a count refutes reaches h,
     # and exists_k answers it in one node; with n <= 5 exists_k's answer is
-    # brute force's at every k, and it is one node exactly where a count fires
+    # brute force's at every k, and it is one node exactly where a count
+    # fires. The counts are root_counts' definitions (the regular one by
+    # trying every way to size the classes), and the lower bound that
+    # lower_bounds builds from them never exceeds h
     from collections import Counter
 
-    from conftest import labeled_graphs
+    from conftest import labeled_graphs, root_counts
 
-    graphs, refuted, fired = 0, 0, Counter()
+    graphs, refuted, exact, fired = 0, 0, 0, Counter()
     for g in labeled_graphs(6):
         h = oracle_h(g)
         graphs += 1
+        bound = lower_bounds(g).combined
+        assert bound <= h, (g.edges, bound, h)
+        exact += bound == h
         for k in range(1, g.n + 2):
             counts = root_counts(g, k)
             refuted += bool(counts)
@@ -531,8 +538,8 @@ def test_root_refutation_is_exact_on_every_small_labeled_graph():
             assert out.feasible == (k >= h), (g.edges, k)
             assert (out.nodes_explored == 1) == bool(counts), (g.edges, k)
     # the refuted k that have enough pairs, by the counts that fire on them
-    assert (graphs, refuted) == (33_867, 129_396), (graphs, refuted)
-    assert fired == {"even k": 2_789, "packing": 1_356, "odd k": 315}, fired
+    assert (graphs, refuted, exact) == (33_867, 133_922, 33_687), (graphs, refuted, exact)
+    assert fired == {"even k": 2_789, "packing": 7_922, "odd k": 315, "regular": 224}, fired
 
 
 def test_invalid_witness_raises_under_optimize():

@@ -16,13 +16,13 @@ from harmonium import (
     stats,
 )
 from harmonium.families import complete, cycle, generalized_petersen, path, star, wheel
-from harmonium.verify import Verdict
+from harmonium.verify import Verdict, class_counts
 
 
-def random_cubic(n, rng):
-    """A configuration-model cubic graph on n vertices, redrawn until simple."""
+def random_regular(n, d, rng):
+    """A configuration-model d-regular graph on n vertices, redrawn until simple."""
     while True:
-        points = [v for v in range(n) for _ in range(3)]
+        points = [v for v in range(n) for _ in range(d)]
         rng.shuffle(points)
         pairs = list(zip(points[::2], points[1::2]))
         edges = {(min(u, v), max(u, v)) for u, v in pairs}
@@ -140,8 +140,9 @@ def test_bounds_truncated_tetrahedron():
     b = lower_bounds(named("truncated_tetrahedron"))
     # ceil((1 + sqrt(8*18+1)) / 2) = ceil(6.52) = 7, evaluated by hand
     assert b.size_bound == 7
-    assert b.degree3_bound == 7
-    assert b.combined == 7
+    # 12 cubic vertices in 7 classes: five of two and two of one, degree
+    # sums (6, 6, 6, 6, 6, 3, 3), and 30 > 5 * 4 + 2 * 3 at the run end
+    assert (b.count_bound, b.refuted_by, b.combined) == (8, "regular", 8)
 
 
 def test_size_bound_is_min_k_with_enough_pairs():
@@ -181,7 +182,7 @@ def test_exact_h_at_least_combined(rng):
     for g in graphs + [from_edge_list(0, []), named("planar33_8_1")]:
         h = solve(g).h
         b = lower_bounds(g)
-        for bound in (b.size_bound, b.delta_bound, b.degree3_bound, b.combined):
+        for bound in (b.size_bound, b.delta_bound, b.count_bound, b.combined):
             assert bound <= h, (b, g.n, g.edges)
 
 
@@ -212,47 +213,99 @@ def test_degree_facts_and_bounds_need_no_bfs(monkeypatch):
     for g, diam in cases:
         assert sum(stats(g).degree_sequence) == 2 * g.m
         b = lower_bounds(g)
-        assert (b.size_bound, b.delta_bound, b.degree3_bound, b.combined) == \
+        assert (b.size_bound, b.delta_bound, b.count_bound, b.refuted_by, b.combined) == \
             _bounds_by_definition(g, diam), (g.n, g.edges)
-    # non-cubic, diameter 199: only the size and degree bounds apply
+    # non-cubic, diameter 199: no count refutes the size bound
     b = lower_bounds(path(200))
-    assert b.degree3_bound == 0
-    assert b.combined == b.size_bound == 21
+    assert (b.refuted_by, b.combined) == (None, 21)
     # cubic with diameter 2: the distance-2 test settles it without a diameter
     assert lower_bounds(named("petersen")).combined == 10
-    # cubic on more than 22 vertices (diameter 4 or more): the degree count
-    # gives 7 and the size bound more
-    for g in (generalized_petersen(500, 3), generalized_petersen(12, 5),
-              random_cubic(40, random.Random(40))):
-        b = lower_bounds(g)
-        assert b.degree3_bound == 7
-        assert b.combined == b.size_bound > 7
+    # cubic on more than 22 vertices (diameter 4 or more): the counts start
+    # at the size bound, and packing lifts two of them one above it
+    got = [(b.size_bound, b.count_bound, b.refuted_by, b.combined) for b in map(lower_bounds, (
+        generalized_petersen(500, 3), generalized_petersen(12, 5),
+        random_regular(40, 3, random.Random(40))))]
+    assert got == [(56, 56, None, 56), (9, 10, "packing", 10), (12, 13, "packing", 13)]
+
+
+def caterpillar(spine):
+    """A path of spine vertices, each given leaves up to degree 3: spine
+    vertices of degree 3 and spine + 2 leaves."""
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    leaf = spine
+    for v in range(spine):
+        for _ in range(3 - (v > 0) - (v < spine - 1)):
+            edges.append((v, leaf))
+            leaf += 1
+    return from_edge_list(leaf, edges)
 
 
 def test_seven_vertices_of_degree_3_need_7_colors(rng):
-    from conftest import random_graph
+    from conftest import random_graph, root_counts
 
-    # a star K_{1,3} per centre: six centres of degree 3 give 0, seven give 7
-    for centres, expected in ((6, 0), (7, 7)):
+    # with k <= 6 colors a class holds one vertex of degree >= 3 (packing at
+    # d = 3). A star K_{1,3} per centre: packing passes six centres at k = 6
+    # and refutes seven, whose 21 edges need 7 colors' pairs as well
+    for centres in (6, 7):
         edges = [(4 * c, 4 * c + leaf) for c in range(centres) for leaf in (1, 2, 3)]
-        assert lower_bounds(from_edge_list(4 * centres, edges)).degree3_bound == expected
+        g = from_edge_list(4 * centres, edges)
+        assert ("packing" in root_counts(g, 6)) == (centres == 7)
+        assert lower_bounds(g).combined == 7
+    # six on a caterpillar's spine pass k = 6, and seven need 7, though
+    # their 15 edges fit the 15 pairs of 6 colors
+    for spine, expected in ((6, (6, None)), (7, (7, "packing"))):
+        b = lower_bounds(caterpillar(spine))
+        assert (b.size_bound, b.count_bound, b.refuted_by) == (6, *expected)
     # on the cubic diameter-3 graph it is the bound that binds
     b = lower_bounds(named("planar33_8_1"))
-    assert (b.size_bound, b.delta_bound, b.degree3_bound, b.combined) == (6, 4, 7, 7)
-    # on random graphs where it reaches combined, combined is never above
-    # the brute-force h; the oracle enumerates every assignment, so 9-vertex
-    # graphs are few
+    assert (b.size_bound, b.delta_bound, b.count_bound, b.refuted_by, b.combined) == (
+        6, 4, 7, "packing", 7)
+    # on random graphs where a count lifts combined, combined is never above
+    # the brute-force h
     wanted = {7: 6, 8: 6, 9: 2}
-    binding = 0
     while any(wanted.values()):
         n = rng.choice([n for n, left in wanted.items() if left])
         g = random_graph(n, rng.uniform(0.3, 0.5), rng)
         b = lower_bounds(g)
-        if b.degree3_bound == b.combined:
+        if b.refuted_by and b.count_bound == b.combined:
             wanted[n] -= 1
-            binding += b.combined > max(b.size_bound, b.delta_bound)
             assert b.combined <= oracle_h(g), (g.n, g.edges)
-    assert binding > 5
+
+
+def test_one_erdos_gallai_check_settles_the_regular_count():
+    # N vertices of degree d (dN even): class_counts passes k exactly when
+    # some way to size the k classes makes their degree sums a graphical
+    # sequence, by Erdős–Gallai at every r. Graphical degree sums already
+    # meet the pairs, parity and packing counts, so every k is compared
+    from collections import Counter
+
+    from conftest import graphical, size_vectors
+
+    why = Counter()
+    for d in range(1, 6):
+        for n in range(1 + d % 2, 25, 1 + d % 2):
+            refutes = class_counts([d] * n)
+            for k in range(2, n + 1):
+                some = any(graphical([d * s for s in sizes])
+                           for sizes in size_vectors(n, k, (k - 1) // d))
+                why[refutes(k)] += 1
+                assert (refutes(k) is None) == some, (d, n, k)
+    assert sum(why.values()) == 984 and why["regular"] == 9, why
+
+
+def test_bounds_never_exceed_h_on_random_regular_graphs():
+    # random d-regular graphs with n <= 12 against the brute-force h
+    rng = random.Random(2026)
+    graphs = exact = 0
+    for n in range(4, 13):
+        for d in range(2, min(5, n - 1) + 1):
+            for _ in range(8 if n * d % 2 == 0 else 0):
+                g = random_regular(n, d, rng)
+                h, b = oracle_h(g), lower_bounds(g)
+                assert b.combined <= h, (g.n, g.edges)
+                graphs += 1
+                exact += b.combined == h
+    assert (graphs, exact) == (208, 191), (graphs, exact)
 
 
 def test_a_hub_settles_the_distance_2_test_without_the_balls(monkeypatch):
@@ -278,20 +331,25 @@ def test_a_least_degree_vertex_goes_first_and_every_vertex_after(monkeypatch):
     # from 0 after it, and vertex 1 misses 5 and 6
     balls.clear()
     g = from_edge_list(7, [(0, 1), (0, 2), (1, 3), (1, 4), (3, 4), (2, 5), (2, 6), (5, 6)])
-    assert lower_bounds(g).combined == _bounds_by_definition(g, diameter(g))[3] == 5
+    assert lower_bounds(g).combined == _bounds_by_definition(g, diameter(g))[-1] == 5
     assert balls == [0, 0, 1]
 
 
 def _bounds_by_definition(g, diam):
-    """(size, delta, degree3, combined) from the definitions and a BFS diameter."""
+    """(size, delta, count, refuted_by, combined) from the definitions,
+    root_counts and a BFS diameter."""
+    from conftest import COUNTS, root_counts
+
     size = 1
     while size * (size - 1) // 2 < g.m:
         size += 1
     delta_bound = max((g.degree(v) for v in range(g.n)), default=0) + 1
-    degree3 = 7 if sum(g.degree(v) >= 3 for v in range(g.n)) >= 7 else 0
-    # the empty graph needs no color at all
-    combined = max(size, delta_bound, g.n if 0 <= diam <= 2 else 0, degree3) if g.n else 0
-    return min(size, g.n), min(delta_bound, g.n), degree3, combined
+    size, delta_bound = min(size, g.n), min(delta_bound, g.n)
+    count, refuted_by = max(size, delta_bound), None
+    while fired := root_counts(g, count):
+        refuted_by = next(name for name in COUNTS if name in fired)
+        count += 1
+    return size, delta_bound, count, refuted_by, g.n if 0 <= diam <= 2 else count
 
 
 def _cubic_corpus():
@@ -303,7 +361,7 @@ def _cubic_corpus():
             yield g
     rng = random.Random(2021)
     for n in range(4, 41, 2):
-        yield from (random_cubic(n, rng) for _ in range(3))
+        yield from (random_regular(n, 3, rng) for _ in range(3))
 
 
 def test_combined_matches_the_definition(rng):
@@ -316,7 +374,7 @@ def test_combined_matches_the_definition(rng):
         diam = diameter(g)
         disconnected += diam < 0
         b = lower_bounds(g)
-        got = (b.size_bound, b.delta_bound, b.degree3_bound, b.combined)
+        got = (b.size_bound, b.delta_bound, b.count_bound, b.refuted_by, b.combined)
         assert got == _bounds_by_definition(g, diam), (g.n, g.edges)
     assert disconnected > 10
     assert len(cubic) > 150 and max(g.n for g in cubic) == 40
