@@ -76,7 +76,9 @@ def color_closed_sun(n: int) -> Coloring:
     """Closed sun for 3 <= n <= 16: clique colors 1..n plus an optimal
     cycle coloring shifted by n, so n + h(C_n) colors. For n <= 5 the cycle
     coloring is 1..n and this is the all-distinct coloring the diameter-2
-    graph needs."""
+    graph needs. verify.lower_bounds reaches its size for every such n
+    (for n >= 5 through its clique bound: the n-clique's colors plus
+    count_bound of the outer C_n), which certifies it optimal."""
     if not 3 <= n <= _H_CYCLE_MAX:
         raise ValueError(f"closed sun needs 3 <= n <= {_H_CYCLE_MAX}, got {n}")
     cyc = cycle_coloring(n)
@@ -117,7 +119,10 @@ def _removals(n: int, t: int, extra: bool) -> set[tuple[int, int]]:
 
 def lollipop_h(n: int, m: int) -> int:
     """Exact h(L_{n,m}): n + t colors unless the m - 1 path edges
-    overflow the trail that _removals leaves, then one more."""
+    overflow the trail that _removals leaves, then one more. On the grid
+    3 <= n <= 8, 2 <= m <= 12, verify.lower_bounds reaches it too, which
+    certifies it there; beyond the grid it can fall one short (L(4, 15)
+    reads 7 against 8)."""
     if n < 3 or m < 2:
         raise ValueError(f"lollipop needs n >= 3, m >= 2, got ({n}, {m})")
     t = _min_t(n, m)

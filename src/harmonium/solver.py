@@ -312,7 +312,9 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
 
     Iterates exists_k upward from the combined lower bound, whose
     count_bound already steps past the k that the class degree-sum counts
-    (verify.class_counts) refute; h is the first k with a witness, or n
+    (verify.class_counts) refute, and whose clique bound steps past the k
+    that a clique's spent colors leave too few for (L(6, 4) and the closed
+    suns start at h); h is the first k with a witness, or n
     with v -> v + 1 and no search: at h = n every coloring uses n
     distinct colors, and symmetry breaking makes the walk's witness that
     one. The node and time budgets bound the whole solve: each k gets what

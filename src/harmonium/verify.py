@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .graph import Graph, closed_n2, stats
 
@@ -90,7 +90,8 @@ def is_harmonious(g: Graph, c: Coloring) -> Verdict:
     return Verdict("ok")
 
 
-def class_counts(degrees: Sequence[int]) -> Callable[[int], str | None]:
+@lru_cache(maxsize=8)
+def class_counts(degrees: tuple[int, ...]) -> Callable[[int], str | None]:
     """The class degree-sum counts for a graph with this degree sequence:
     a function naming the first count that refutes k colors, or None.
 
@@ -138,7 +139,9 @@ def class_counts(degrees: Sequence[int]) -> Callable[[int], str | None]:
 
     The sequence is read once, in C-level passes (a sort, a sum and a
     bisection per distinct degree), and each k then costs O(number of
-    distinct degrees).
+    distinct degrees). The sequence, a tuple, is the key of a small
+    cache: solve's lower_bounds call reads it, and every exists_k call
+    that follows, one per k tried, reuses the function.
     """
     ds = sorted(degrees)
     n = len(ds)
@@ -182,16 +185,23 @@ class BoundsReport:
     count_bound is the least k, counting up from the larger of size_bound
     and delta_bound, that no class degree-sum count (class_counts)
     refutes, and refuted_by names the count that refutes k = count_bound -
-    1, or is None when size_bound or delta_bound sets count_bound. combined
-    is n when every two vertices are within distance 2 and count_bound
-    otherwise. None exceeds n, so on the empty graph every bound is 0. The
-    trivial upper bound, n, is g.n itself.
+    1, or is None when size_bound or delta_bound sets count_bound.
+    clique_bound spends a clique K's colors: no neighbor of K outside it
+    can take one of them, nor both ends of an edge outside K, so the
+    other colors must color G[Y] (Y = N(K) minus K) and every two
+    vertices within distance 2 of each other among those that take them
+    (lower_bounds states the argument in full). It is |K| + t when that
+    exceeds count_bound, and None otherwise. combined is n when every two
+    vertices are within distance 2 and the larger of count_bound and
+    clique_bound otherwise. None exceeds n, so on the empty graph every
+    bound is 0. The trivial upper bound, n, is g.n itself.
     """
 
     size_bound: int
     delta_bound: int
     count_bound: int
     refuted_by: str | None
+    clique_bound: int | None
     combined: int
 
 
@@ -201,29 +211,43 @@ def lower_bounds(g: Graph) -> BoundsReport:
     The class degree-sum counts are stated once, with their arguments, in
     class_counts; each k they test costs O(number of distinct degrees).
 
+    The clique bound spends a clique's colors. K is grown greedily from a
+    maximum-degree vertex v: v's neighbors are scanned from the largest
+    degree down, and each one adjacent to all of K so far joins it. Let
+    Y = N(K) minus K. K's edges use every pair of K's colors, so no edge
+    outside K can have both ends in K's colors. That rules them out for
+    every y in Y: with y's neighbor x in K, the pair of edge xy would
+    repeat the pair of the edge from x to the vertex of K with y's color.
+    And it rules them out for at least one end of every edge that avoids
+    K. So Y takes only the other k - |K| colors, which color G[Y]
+    harmoniously, and h >= |K| + t, where t is the larger of:
+      - G[Y]'s count_bound, which is at least 1 when Y is not empty;
+      - 2, when the distance-2 ball of some y in Y holds an edge that
+        avoids both K and y: an end of it takes one of the other colors,
+        and that end is within distance 2 of y, so its color is not y's.
+    clique_bound reports |K| + t only when it exceeds count_bound. K and Y
+    are built only when |K| + max(|Y|, 2), which t cannot beat, may
+    exceed count_bound; that quantity is at most max(⌊(Δ + 2)²/4⌋, Δ + 3),
+    since each vertex of K has at most Δ + 1 - |K| neighbors in Y, so
+    cycles, cubic graphs and large sparse graphs pay one O(1) check. Each
+    term is then computed only when it can lift the bound.
+
     Two vertices within distance 2 of each other need different colors:
     adjacent ones because the coloring is proper, and two with a common
     neighbor w because equal colors would repeat a pair at w. So h = n
     when every closed distance-2 ball is the whole vertex set. The balls
-    are built only when count_bound is below n, so never with a vertex of
-    degree n - 1, a common neighbor of every two others: then delta_bound
-    is n already, and no k is tested either.
+    are built only when the other bounds are below n, so never with a
+    vertex of degree n - 1, a common neighbor of every two others: then
+    delta_bound is n already, and no k is tested either.
     """
     st = stats(g)
-    size_bound = math.ceil((1 + math.isqrt(8 * g.m + 1)) / 2)
-    if (size_bound * (size_bound - 1)) // 2 < g.m:  # isqrt truncation
-        size_bound += 1
-    size_bound = min(size_bound, g.n)
-    delta_bound = min(st.max_degree + 1, g.n)
     degs = st.degree_sequence
-    refutes = class_counts(degs)
-    count_bound, refuted_by = max(size_bound, delta_bound), None
-    # no valid count refutes k = n, which is always feasible
-    while count_bound < g.n and (why := refutes(count_bound)):
-        count_bound, refuted_by = count_bound + 1, why
+    size_bound, delta_bound, count_bound, refuted_by = _counted(g.n, g.m, st.max_degree, degs)
+    clique_bound = _clique_bound(g, degs, st.max_degree, count_bound)
+    best = max(count_bound, clique_bound or 0)
     # a least-degree vertex's ball, at most 1 + δΔ vertices, is the
     # likeliest to miss one: it goes first, then every vertex in order
-    within2 = count_bound < g.n and (
+    within2 = best < g.n and (
         len(closed_n2(g, degs.index(min(degs)))) == g.n
         and all(len(closed_n2(g, v)) == g.n for v in range(g.n)))
     return BoundsReport(
@@ -231,5 +255,59 @@ def lower_bounds(g: Graph) -> BoundsReport:
         delta_bound=delta_bound,
         count_bound=count_bound,
         refuted_by=refuted_by,
-        combined=g.n if within2 else count_bound,
+        clique_bound=clique_bound,
+        combined=g.n if within2 else best,
     )
+
+
+def _counted(n: int, m: int, delta: int,
+             degs: tuple[int, ...]) -> tuple[int, int, int, str | None]:
+    """size_bound, delta_bound, count_bound and refuted_by (BoundsReport)
+    of a graph with n vertices, m edges, maximum degree delta and this
+    degree sequence."""
+    size_bound = math.ceil((1 + math.isqrt(8 * m + 1)) / 2)
+    if (size_bound * (size_bound - 1)) // 2 < m:  # isqrt truncation
+        size_bound += 1
+    size_bound = min(size_bound, n)
+    delta_bound = min(delta + 1, n)
+    refutes = class_counts(degs)
+    count_bound, refuted_by = max(size_bound, delta_bound), None
+    # no valid count refutes k = n, which is always feasible
+    while count_bound < n and (why := refutes(count_bound)):
+        count_bound, refuted_by = count_bound + 1, why
+    return size_bound, delta_bound, count_bound, refuted_by
+
+
+def _clique_bound(g: Graph, degs: tuple[int, ...], delta: int, count_bound: int) -> int | None:
+    """|K| + t (lower_bounds) when it exceeds count_bound, else None."""
+    # no lower bound exceeds n; |K| + |Y| <= |K|(Δ + 2 - |K|) <= (Δ + 2)²/4
+    # and |K| + 2 <= Δ + 3
+    if count_bound >= g.n or max((delta + 2) ** 2 // 4, delta + 3) <= count_bound:
+        return None
+    v = degs.index(delta)
+    clique, candidates = [v], set(g.adj[v])
+    # v's neighbors from the largest degree down, the lowest id first among
+    # equals: each one still adjacent to all of K joins it
+    for u in sorted(g.adj[v], key=degs.__getitem__, reverse=True):
+        if u in candidates:
+            clique.append(u)
+            candidates.intersection_update(g.adj[u])
+    ys = set().union(*map(g.adj.__getitem__, clique)).difference(clique)
+    need = count_bound - len(clique)  # t must exceed it
+    if max(len(ys), 2) <= need:
+        return None
+    y_degs = tuple(map(len, map(ys.intersection, map(g.adj.__getitem__, ys))))
+    if any(y_degs):
+        t = _counted(len(ys), sum(y_degs) // 2, max(y_degs), y_degs)[2]
+        return len(clique) + t if t > need else None
+    if need >= 2:  # Y is independent, so t is 1 or 2
+        return None
+    for y in ys:  # t = 2 when some y sees an edge avoiding K and y
+        ball = closed_n2(g, y).difference(clique)
+        ball.discard(y)
+        if any(not ball.isdisjoint(g.adj[u]) for u in ball):
+            return len(clique) + 2
+    # t <= 1 <= need: if Y is not empty, K is not all of N[v] (a vertex of
+    # K = N[v] with a neighbor outside would have degree Δ + 1), so
+    # |K| <= Δ < delta_bound <= count_bound
+    return None

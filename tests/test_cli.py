@@ -121,10 +121,12 @@ def test_bound(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["combined"] == 10
-    assert sorted(payload) == ["combined", "count_bound", "delta_bound", "refuted_by",
-                               "size_bound"]
-    # per-degree packing refutes k = 6, and the distance-2 test gives n
-    assert (payload["count_bound"], payload["refuted_by"]) == (7, "packing")
+    assert sorted(payload) == ["clique_bound", "combined", "count_bound", "delta_bound",
+                               "refuted_by", "size_bound"]
+    # per-degree packing refutes k = 6, and the distance-2 test gives n; the
+    # clique bound of a cubic graph cannot pass count_bound, so it is null
+    assert (payload["count_bound"], payload["refuted_by"], payload["clique_bound"]) == \
+        (7, "packing", None)
 
 
 def test_check_ok_and_mismatch(tmp_path, capsys):

@@ -15,7 +15,17 @@ from harmonium import (
     solve,
     stats,
 )
-from harmonium.families import complete, cycle, generalized_petersen, path, star, wheel
+from harmonium.constructive import color_closed_sun, lollipop_h
+from harmonium.families import (
+    closed_sun,
+    complete,
+    cycle,
+    generalized_petersen,
+    lollipop,
+    path,
+    star,
+    wheel,
+)
 from harmonium.verify import Verdict, class_counts
 
 
@@ -213,8 +223,8 @@ def test_degree_facts_and_bounds_need_no_bfs(monkeypatch):
     for g, diam in cases:
         assert sum(stats(g).degree_sequence) == 2 * g.m
         b = lower_bounds(g)
-        assert (b.size_bound, b.delta_bound, b.count_bound, b.refuted_by, b.combined) == \
-            _bounds_by_definition(g, diam), (g.n, g.edges)
+        assert (b.size_bound, b.delta_bound, b.count_bound, b.refuted_by, b.clique_bound,
+                b.combined) == _bounds_by_definition(g, diam), (g.n, g.edges)
     # non-cubic, diameter 199: no count refutes the size bound
     b = lower_bounds(path(200))
     assert (b.refuted_by, b.combined) == (None, 21)
@@ -284,7 +294,7 @@ def test_one_erdos_gallai_check_settles_the_regular_count():
     why = Counter()
     for d in range(1, 6):
         for n in range(1 + d % 2, 25, 1 + d % 2):
-            refutes = class_counts([d] * n)
+            refutes = class_counts((d,) * n)
             for k in range(2, n + 1):
                 some = any(graphical([d * s for s in sizes])
                            for sizes in size_vectors(n, k, (k - 1) // d))
@@ -335,9 +345,8 @@ def test_a_least_degree_vertex_goes_first_and_every_vertex_after(monkeypatch):
     assert balls == [0, 0, 1]
 
 
-def _bounds_by_definition(g, diam):
-    """(size, delta, count, refuted_by, combined) from the definitions,
-    root_counts and a BFS diameter."""
+def _counts_by_definition(g):
+    """(size, delta, count, refuted_by) from the definitions and root_counts."""
     from conftest import COUNTS, root_counts
 
     size = 1
@@ -349,7 +358,42 @@ def _bounds_by_definition(g, diam):
     while fired := root_counts(g, count):
         refuted_by = next(name for name in COUNTS if name in fired)
         count += 1
-    return size, delta_bound, count, refuted_by, g.n if 0 <= diam <= 2 else count
+    return size, delta_bound, count, refuted_by
+
+
+def _clique_by_definition(g, count):
+    """|K| + t when it exceeds count, else None: K grown from the first
+    vertex of largest degree through its neighbors by (degree descending,
+    id), each one joining when adjacent to all of K; t the largest of
+    G[Y]'s count bound, 2 when the distance-2 ball of some y in Y holds
+    an edge avoiding K and y, and 1 when Y is not empty."""
+    if g.n == 0:
+        return None
+    degree = [g.degree(v) for v in range(g.n)]
+    v = degree.index(max(degree))
+    clique = [v]
+    for u in sorted(g.adj[v], key=lambda u: (-degree[u], u)):
+        if all(u in g.adj[x] for x in clique):
+            clique.append(u)
+    ys = sorted({y for x in clique for y in g.adj[x]} - set(clique))
+    t = min(len(ys), 1)
+    if ys:
+        inside = [(ys.index(a), ys.index(b)) for a, b in g.edges if a in ys and b in ys]
+        t = max(t, _counts_by_definition(from_edge_list(len(ys), inside))[2])
+    for y in ys:
+        ball = {y, *g.adj[y], *(w for x in g.adj[y] for w in g.adj[x])}
+        if any(a in ball and b in ball and not {a, b} & {y, *clique} for a, b in g.edges):
+            t = max(t, 2)
+    return len(clique) + t if len(clique) + t > count else None
+
+
+def _bounds_by_definition(g, diam):
+    """(size, delta, count, refuted_by, clique, combined) from the
+    definitions, root_counts and a BFS diameter."""
+    size, delta_bound, count, refuted_by = _counts_by_definition(g)
+    clique = _clique_by_definition(g, count)
+    best = max(count, clique or 0)
+    return size, delta_bound, count, refuted_by, clique, g.n if 0 <= diam <= 2 else best
 
 
 def _cubic_corpus():
@@ -370,11 +414,50 @@ def test_combined_matches_the_definition(rng):
     disconnected = 0
     graphs = [random_graph(i % 10, rng.uniform(0.0, 0.9), rng) for i in range(200)]
     cubic = list(_cubic_corpus())
-    for g in graphs + cubic:
+    closed_forms = [closed_sun(n) for n in range(3, 17)]
+    closed_forms += [lollipop(n, m) for n in range(3, 9) for m in range(2, 13)]
+    lifted = 0
+    for g in graphs + cubic + closed_forms:
         diam = diameter(g)
         disconnected += diam < 0
         b = lower_bounds(g)
-        got = (b.size_bound, b.delta_bound, b.count_bound, b.refuted_by, b.combined)
+        got = (b.size_bound, b.delta_bound, b.count_bound, b.refuted_by, b.clique_bound,
+               b.combined)
         assert got == _bounds_by_definition(g, diam), (g.n, g.edges)
+        lifted += b.combined == b.clique_bound
     assert disconnected > 10
     assert len(cubic) > 150 and max(g.n for g in cubic) == 40
+    # the clique bound sets combined on 3 of the random graphs, on closed_sun(5..16)
+    # and on 15 of the 66 lollipops
+    assert lifted == 3 + 12 + 15, lifted
+
+
+def test_the_clique_bound_meets_every_closed_form():
+    # lower_bounds certifies the closed sun's and the lollipop's closed forms
+    for n in range(3, 17):
+        assert lower_bounds(closed_sun(n)).combined == color_closed_sun(n).k, n
+    for n in range(3, 9):
+        for m in range(2, 13):
+            assert lower_bounds(lollipop(n, m)).combined == lollipop_h(n, m), (n, m)
+    # each outside-color term is needed. closed_sun(6): K is the 6-clique and
+    # G[Y] the outer C6, whose count bound 5 gives 11 (the distance-2 term
+    # alone gives 8, below count_bound 9)
+    b = lower_bounds(closed_sun(6))
+    assert (b.count_bound, b.clique_bound, b.combined) == (9, 11, 11)
+    # L(6, 4): K is the 6-clique and Y the first path vertex 6 alone, whose
+    # distance-2 ball holds the edge 7-8: 6 + 2 = 8 (G[Y] alone gives 7)
+    b = lower_bounds(lollipop(6, 4))
+    assert (b.count_bound, b.clique_bound, b.combined) == (7, 8, 8)
+
+
+def test_the_clique_bound_never_exceeds_h_on_random_graphs():
+    from conftest import random_graph
+
+    rng = random.Random(2106)
+    fired = 0
+    for _ in range(2000):
+        g = random_graph(rng.randint(5, 10), rng.uniform(0.1, 0.9), rng)
+        b = lower_bounds(g)
+        assert b.combined <= solve(g).h, (g.n, g.edges)
+        fired += b.clique_bound is not None
+    assert fired == 118, fired
