@@ -1,23 +1,12 @@
 """Command-line front door.
 
-Exit codes: 0 ok, 1 mismatch/infeasible/verification failure, 2 usage
-error, 3 budget exhausted, 4 crash (an exception escaped; its traceback
-goes to stderr). JSON is the machine interface; tables are for
-humans. Every command names its graph the same way, through one helper
-in `build_parser`: a file path (`-` for stdin), `name:<catalog-entry>` or
-`family:<family>:<n>[:<m>]`, which `main` resolves once (`load_graph`);
-`construct` takes only `family:` references with a closed form. Every
-command that makes an artifact (`gen`, `greedy`, `vc-color`,
-`construct`, `reduce`, `export`) gets `-o` in one loop of `build_parser`
-and writes the artifact there or to stdout, its JSON summary to stderr.
-
-`solve` keys: h, witness, nodes_explored, nodes_walked, elapsed (with
---k: k, status, nodes_explored, nodes_walked, elapsed and, if feasible,
-witness); `--json` prints them as one object, the text mode as
-`key=value` lines. nodes_explored counts the nodes of the trees searched
-(h = n needs none), nodes_walked the ones the search entered rather than
-reused; both are the same on every run and machine unless --budget-secs
-stops the search.
+JSON is the machine interface; tables are for humans. README's *Command
+line* section states the contract: graph references, file formats, exit
+codes and each command's JSON keys. `main` resolves every command's
+graph reference once (`load_graph`), and coloring files go through
+`load_coloring`. In `build_parser`, one helper gives each command its
+`graph` argument, and one loop gives `-o` to every command that writes
+an artifact.
 """
 
 from __future__ import annotations

@@ -147,9 +147,9 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None) -
     rm & b. A dead child is counted as its one node and v goes on to its
     next candidate; a live child, or any child when the next node reaches
     a budget or deadline check, is pushed and entered, so every check fires
-    at the node it did. A tabled depth builds and looks up its key only for
-    a node with candidates: one without is a one-node subtree, never
-    stored.
+    at the node it did. A tabled depth looks up every entry's key; the key
+    fixes the candidates, so a node without any, a one-node subtree that
+    is never stored, finds no entry.
     """
     n = g.n
     k = min(k, n)  # maxc < n, so no color above n is tried: k sizes nothing
@@ -195,21 +195,20 @@ def _search(g: Graph, k: int, node_budget: int | None, deadline: float | None) -
         table = tables[v]
         if table is not None:
             starts[v] = nodes
-            if cands:  # a node without candidates is never stored
-                # maxc, then the front colors, then used[1..maxc]: the
-                # front's length is fixed at v and a larger maxc makes a
-                # longer key, so two states never share one. A prune that
-                # reads more state below v must add it here.
-                key = maxc
-                for u in front[v]:
-                    key = key << cbits | color[u]
-                for pairs in used[1:maxc + 1]:
-                    key = key << pbits | pairs
-                keys[v] = key
-                step = table.get(key, 1)
-                if step > 1:
-                    reused += step - 1
-                    cands = 0
+            # maxc, then the front colors, then used[1..maxc]: the front's
+            # length is fixed at v and a larger maxc makes a longer key, so
+            # two states never share one. A prune that reads more state
+            # below v must add it here.
+            key = maxc
+            for u in front[v]:
+                key = key << cbits | color[u]
+            for pairs in used[1:maxc + 1]:
+                key = key << pbits | pairs
+            keys[v] = key
+            step = table.get(key, 1)
+            if step > 1:
+                reused += step - 1
+                cands = 0
         nodes += step
         if nodes >= check_at:
             if nodes >= stop or nodes >= tick and time.monotonic() > deadline:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .graph import Graph, closed_n2, stats
 
@@ -90,8 +90,7 @@ def is_harmonious(g: Graph, c: Coloring) -> Verdict:
     return Verdict("ok")
 
 
-@lru_cache(maxsize=8)
-def class_counts(degrees: tuple[int, ...]) -> Callable[[int], str | None]:
+def class_counts(degrees: Sequence[int]) -> Callable[[int], str | None]:
     """The class degree-sum counts for a graph with this degree sequence:
     a function naming the first count that refutes k colors, or None.
 
@@ -139,9 +138,7 @@ def class_counts(degrees: tuple[int, ...]) -> Callable[[int], str | None]:
 
     The sequence is read once, in C-level passes (a sort, a sum and a
     bisection per distinct degree), and each k then costs O(number of
-    distinct degrees). The sequence, a tuple, is the key of a small
-    cache: solve's lower_bounds call reads it, and every exists_k call
-    that follows, one per k tried, reuses the function.
+    distinct degrees).
     """
     ds = sorted(degrees)
     n = len(ds)

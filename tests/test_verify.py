@@ -286,7 +286,8 @@ def test_one_erdos_gallai_check_settles_the_regular_count():
     # N vertices of degree d (dN even): class_counts passes k exactly when
     # some way to size the k classes makes their degree sums a graphical
     # sequence, by Erdős–Gallai at every r. Graphical degree sums already
-    # meet the pairs, parity and packing counts, so every k is compared
+    # meet the pairs, parity and packing counts, so every k is compared.
+    # Any sequence of degrees will do: a list gives the tuple's verdicts
     from collections import Counter
 
     from conftest import graphical, size_vectors
@@ -294,12 +295,13 @@ def test_one_erdos_gallai_check_settles_the_regular_count():
     why = Counter()
     for d in range(1, 6):
         for n in range(1 + d % 2, 25, 1 + d % 2):
-            refutes = class_counts((d,) * n)
+            refutes, listed = class_counts((d,) * n), class_counts([d] * n)
             for k in range(2, n + 1):
                 some = any(graphical([d * s for s in sizes])
                            for sizes in size_vectors(n, k, (k - 1) // d))
                 why[refutes(k)] += 1
                 assert (refutes(k) is None) == some, (d, n, k)
+                assert listed(k) == refutes(k), (d, n, k)
     assert sum(why.values()) == 984 and why["regular"] == 9, why
 
 
