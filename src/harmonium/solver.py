@@ -32,13 +32,13 @@ solve searches only k < n: h = n needs no walk.
 An "infeasible" answer is an exhaustive claim; running out of budget is
 reported as its own outcome, never conflated with infeasibility.
 
-oracle_h is the deliberately plain counterpart, guarded to small graphs:
-enumeration of assignments with early pair-conflict exit and one symmetry
-argument. Renaming the colors maps colorings onto colorings, so every
-coloring has a representative that uses its colors in first-use order,
-and a new color is only ever the largest so far + 1. It shares no code
-with the walk: no tables, no O(1) child candidates and no root counts. It
-exists so the solver has something independent to agree with.
+oracle_h is the deliberately plain counterpart: a recursion with one level
+per vertex, kept shallow by its n <= 12 guard, enumerating assignments with
+early pair-conflict exit and one symmetry argument. Renaming the colors
+maps colorings onto colorings, so every coloring has a representative in
+first-use order, where a new color is the largest so far + 1. It shares no
+code with the walk: no tables, no O(1) child candidates and no root counts.
+It exists so the solver has something independent to agree with.
 """
 
 from __future__ import annotations
@@ -347,59 +347,39 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
 def oracle_h(g: Graph) -> int:
     """Brute-force harmonious chromatic number for n <= 12.
 
-    Enumerates assignments V -> [k] for k = 1..n in colexicographic
-    order, each new color the largest so far + 1, abandoning a partial
-    assignment as soon as it repeats a color pair or breaks properness.
-    Independent of the pruned solver.
+    For k = 1..n, recursively tries assignments V -> [k] in lexicographic
+    order (vertex 0 varied slowest), each new color the largest so far + 1,
+    abandoning a partial assignment as soon as it repeats a color pair or
+    breaks properness. Independent of the pruned solver.
     """
-    if g.n > ORACLE_MAX_N:
-        raise ValueError(f"oracle guarded to n <= {ORACLE_MAX_N}, got {g.n}")
-    if g.n == 0:
-        return 0
-    back = [[u for u in g.adj[v] if u < v] for v in range(g.n)]
     n = g.n
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"oracle guarded to n <= {ORACLE_MAX_N}, got {n}")
+    back = [[u for u in g.adj[v] if u < v] for v in range(n)]
+    color = [0] * n
+    used: set[tuple[int, int]] = set()
 
-    def feasible(k: int) -> bool:
-        assign = [0] * n
-        top = [0] * n  # top[v]: the largest color among vertices 0..v-1
-        used: set[tuple[int, int]] = set()
-        stack: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        v = 0
-        while True:
-            c = assign[v] + 1
-            for p in stack[v]:
-                used.discard(p)
-            stack[v].clear()
-            if c > min(k, top[v] + 1):
-                assign[v] = 0
-                v -= 1
-                if v < 0:
-                    return False
-                continue
-            assign[v] = c
-            ok = True
+    def extend(v: int, k: int, top: int) -> bool:
+        # vertices 0..v-1 hold colors 1..top and their pairs are in used
+        if v == n:
+            return True
+        for c in range(1, min(k, top + 1) + 1):
+            added = []
             for u in back[v]:
-                cu = assign[u]
-                if cu == c:
-                    ok = False
-                    break
-                p = (min(c, cu), max(c, cu))
-                if p in used:
-                    ok = False
+                cu = color[u]
+                p = (c, cu) if c < cu else (cu, c)
+                if cu == c or p in used:
                     break
                 used.add(p)
-                stack[v].append(p)
-            if not ok:
-                for p in stack[v]:
-                    used.discard(p)
-                stack[v].clear()
-                continue
-            if v == n - 1:
-                return True
-            top[v + 1] = max(top[v], c)
-            v += 1
+                added.append(p)
+            else:
+                color[v] = c
+                if extend(v + 1, k, max(top, c)):
+                    return True
+            used.difference_update(added)
+        return False
 
-    for k in range(1, n + 1):
-        if feasible(k):
+    for k in range(min(n, 1), n + 1):
+        if extend(0, k, 0):
             return k
     raise AssertionError("unreachable: k = n always feasible")

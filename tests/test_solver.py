@@ -509,12 +509,13 @@ def test_class_degree_sums_refute_at_the_root():
 
 
 def test_root_refutation_is_exact_on_every_small_labeled_graph():
-    # every labeled graph with n <= 6: no k that a count refutes reaches h,
-    # and exists_k answers it in one node; with n <= 5 exists_k's answer is
-    # brute force's at every k, and it is one node exactly where a count
-    # fires. The counts are root_counts' definitions (the regular one by
-    # trying every way to size the classes), and the lower bound that
-    # lower_bounds builds from them never exceeds h
+    # every labeled graph with n <= 6: solve finds the oracle's h, no k that
+    # a count refutes reaches h, and exists_k answers it in one node; with
+    # n <= 5 exists_k's answer is brute force's at every k, and it is one
+    # node exactly where a count fires. The counts are root_counts'
+    # definitions (the regular one by trying every way to size the
+    # classes), and the lower bound that lower_bounds builds from them
+    # never exceeds h
     from collections import Counter
 
     from conftest import labeled_graphs, root_counts
@@ -522,6 +523,7 @@ def test_root_refutation_is_exact_on_every_small_labeled_graph():
     graphs, refuted, exact, fired = 0, 0, 0, Counter()
     for g in labeled_graphs(6):
         h = oracle_h(g)
+        assert solve(g).h == h, g.edges
         graphs += 1
         bound = lower_bounds(g).combined
         assert bound <= h, (g.edges, bound, h)

@@ -34,3 +34,24 @@ def test_no_module_keeps_a_functools_cache():
               for name, value in vars(importlib.import_module(f"harmonium.{path.stem}")).items()
               if hasattr(value, "cache_clear")]
     assert cached == []
+
+
+def test_oracle_h_calls_no_other_harmonium_function():
+    # the oracle is the independent reference the solver is checked
+    # against, so its body may name no function defined in the package
+    functions = {node.name
+                 for path in MODULES
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    solver = ast.parse(Path(harmonium.solver.__file__).read_text())
+    oracle = next(node for node in solver.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "oracle_h")
+    named = set()
+    for node in ast.walk(oracle):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert {"_search", "exists_k", "solve", "class_counts", "lower_bounds", "stats",
+            "is_harmonious"} <= functions
+    assert sorted(named & (functions - {"oracle_h"})) == []
