@@ -3,7 +3,6 @@
 from .graph import (
     DISCONNECTED,
     Graph,
-    GraphStats,
     closed_n2,
     diameter,
     emit_edge_list,

@@ -105,7 +105,7 @@ def _emit(path: str | None, text: str, summary: dict | None = None) -> None:
 
 def _catalog_line(name: str) -> str:
     g = catalog.named(name)
-    degrees = stats(g).degree_sequence
+    degrees = stats(g)
     reg = f"{degrees[0]}-regular" if min(degrees) == max(degrees) else "irregular"
     return f"{name}: n={g.n} m={g.m} {reg} diameter={diameter(g)}\n"
 

@@ -86,13 +86,6 @@ def color_closed_sun(n: int) -> Coloring:
     return Coloring(tuple(colors))
 
 
-def _min_t(n: int, m: int) -> int:
-    t = 0
-    while m > 1 + n * t + t * (t - 1) // 2:
-        t += 1
-    return t
-
-
 def _removals(n: int, t: int, extra: bool) -> set[tuple[int, int]]:
     """Edges deleted from K_r - E(<[n]>), r = n + t (+1 if extra), so an
     Eulerian trail from vertex 1 exists; it has 1 + k - len(removed)
@@ -117,17 +110,29 @@ def _removals(n: int, t: int, extra: bool) -> set[tuple[int, int]]:
             | {(i, n + t) for i in range(t + 2, n + 1)})
 
 
+def _lollipop_size(n: int, m: int) -> tuple[int, set[tuple[int, int]]]:
+    """h(L_{n,m}) and the edges _removals deletes for it. t is the fewest
+    colors beyond n whose k = nt + t(t-1)/2 edges hold the m - 1 path
+    edges; one more color is needed when those overflow the trail that
+    the removals for n + t colors leave."""
+    if n < 3 or m < 2:
+        raise ValueError(f"lollipop needs n >= 3, m >= 2, got ({n}, {m})")
+    t = 0
+    while m > 1 + n * t + t * (t - 1) // 2:
+        t += 1
+    removed = _removals(n, t, False)
+    if m - 1 > n * t + t * (t - 1) // 2 - len(removed):
+        return n + t + 1, _removals(n, t, True)
+    return n + t, removed
+
+
 def lollipop_h(n: int, m: int) -> int:
     """Exact h(L_{n,m}): n + t colors unless the m - 1 path edges
     overflow the trail that _removals leaves, then one more. On the grid
     3 <= n <= 8, 2 <= m <= 12, verify.lower_bounds reaches it too, which
     certifies it there; beyond the grid it can fall one short (L(4, 15)
     reads 7 against 8)."""
-    if n < 3 or m < 2:
-        raise ValueError(f"lollipop needs n >= 3, m >= 2, got ({n}, {m})")
-    t = _min_t(n, m)
-    k = n * t + t * (t - 1) // 2
-    return n + t + (m - 1 > k - len(_removals(n, t, False)))
+    return _lollipop_size(n, m)[0]
 
 
 @dataclass(frozen=True)
@@ -142,17 +147,13 @@ class LollipopPlan:
 def _eulerian_trail(r: int, n: int, removed: set[tuple[int, int]]) -> list[int]:
     """Hierholzer's algorithm on K_r minus clique-internal and removed
     edges; returns the full trail beginning at vertex 1."""
-    adj: dict[int, set[int]] = {v: set() for v in range(1, r + 1)}
-    m_edges = 0
-    for u in range(1, r + 1):
-        for v in range(u + 1, r + 1):
-            if u <= n and v <= n:
-                continue
-            if (u, v) in removed:
-                continue
-            adj[u].add(v)
-            adj[v].add(u)
-            m_edges += 1
+    # an extra color meets every other color, a clique color only the extras
+    adj = {v: set(range(1, r + 1)) - {v} if v > n else set(range(n + 1, r + 1))
+           for v in range(1, r + 1)}
+    for u, v in removed:
+        adj[u].remove(v)
+        adj[v].remove(u)
+    m_edges = sum(map(len, adj.values())) // 2
     stack = [1]
     out: list[int] = []
     while stack:
@@ -172,9 +173,7 @@ def _eulerian_trail(r: int, n: int, removed: set[tuple[int, int]]) -> list[int]:
 
 def lollipop_plan(n: int, m: int) -> LollipopPlan:
     """Build the residual graph for (n, m), walk it, and record the plan."""
-    r = lollipop_h(n, m)
-    t = _min_t(n, m)
-    removed = _removals(n, t, r > n + t)
+    r, removed = _lollipop_size(n, m)
     trail = _eulerian_trail(r, n, removed)
     if len(trail) < m:
         raise AssertionError(f"residual trail too short: {len(trail)} < {m}")

@@ -1,4 +1,4 @@
-"""Immutable simple-graph type, its text formats, degree statistics and
+"""Immutable simple-graph type, its text formats, degree sequence and
 distance queries.
 
 Vertices are dense ids 0..n-1. Edges are stored as one ascending tuple of
@@ -43,15 +43,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    max_degree: int
-    degree_sequence: tuple[int, ...]
 
 
 def _collector_paused(build):
@@ -127,10 +118,9 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def stats(g: Graph) -> GraphStats:
-    """Max degree and degree sequence, in O(n)."""
-    degs = tuple(map(len, g.adj))
-    return GraphStats(max_degree=max(degs, default=0), degree_sequence=degs)
+def stats(g: Graph) -> tuple[int, ...]:
+    """The degree sequence, vertex by vertex, in O(n)."""
+    return tuple(map(len, g.adj))
 
 
 def diameter(g: Graph) -> int:

@@ -168,8 +168,8 @@ def max_independent_set(g: Graph) -> set[int]:
 
 
 def vc_budget(g: Graph, cover: VertexCoverResult) -> int:
-    """VC + max_degree^2 - max_degree + 1: the most colors vc_coloring uses."""
-    delta = stats(g).max_degree
+    """VC + Δ² - Δ + 1: the most colors vc_coloring uses."""
+    delta = max(stats(g), default=0)
     return cover.size + delta * delta - delta + 1
 
 

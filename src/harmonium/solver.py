@@ -295,7 +295,7 @@ def exists_k(g: Graph, k: int, cfg: SolverConfig | None = None) -> SearchOutcome
         raise ValueError(f"color budget must be >= 1, got {k}")
     cfg = cfg or SolverConfig()
     # the check counts as the one root node the search would have visited
-    if class_counts(stats(g).degree_sequence)(k):
+    if class_counts(stats(g))(k):
         return SearchOutcome(INFEASIBLE, None, 1, 1)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
     out = _search(g, k, cfg.node_budget, deadline)

@@ -237,10 +237,10 @@ def lower_bounds(g: Graph) -> BoundsReport:
     vertex of degree n - 1, a common neighbor of every two others: then
     delta_bound is n already, and no k is tested either.
     """
-    st = stats(g)
-    degs = st.degree_sequence
-    size_bound, delta_bound, count_bound, refuted_by = _counted(g.n, g.m, st.max_degree, degs)
-    clique_bound = _clique_bound(g, degs, st.max_degree, count_bound)
+    degs = stats(g)
+    delta = max(degs, default=0)
+    size_bound, delta_bound, count_bound, refuted_by = _counted(g.n, g.m, delta, degs)
+    clique_bound = _clique_bound(g, degs, delta, count_bound)
     best = max(count_bound, clique_bound or 0)
     # a least-degree vertex's ball, at most 1 + δΔ vertices, is the
     # likeliest to miss one: it goes first, then every vertex in order

@@ -206,7 +206,7 @@ def test_criterion_8_vertex_cover_bound():
         except AssertionError:
             failures += 1
             continue
-        delta = stats(g).max_degree
+        delta = max(stats(g))
         if not is_harmonious(g, c).ok or c.k > cover.size + delta * delta - delta + 1:
             failures += 1
     _report(8, "vertex-cover coloring stays within VC + D^2 - D + 1 on 200 random graphs",

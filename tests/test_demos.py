@@ -15,7 +15,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
     proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -60,7 +60,7 @@ def test_jewel_example():
 
 def test_sunflower_degrees():
     g = fam.sunflower(6)
-    degs = stats(g).degree_sequence
+    degs = stats(g)
     assert degs[0] == 6  # hub
     assert all(degs[i] == 5 for i in range(1, 7))  # rim
     assert all(degs[i] == 2 for i in range(7, 13))  # petals
@@ -94,8 +94,7 @@ def test_generate_deterministic():
 
 def test_gp51_is_pentagonal_prism():
     g = fam.generalized_petersen(5, 1)
-    st = stats(g)
-    assert g.n == 10 and all(d == 3 for d in st.degree_sequence)
+    assert g.n == 10 and all(d == 3 for d in stats(g))
 
 
 def test_named_catalog_metadata():
@@ -103,7 +102,7 @@ def test_named_catalog_metadata():
     for name, edges in CATALOG.items():
         g = named(name)
         assert g.m == len(edges), name
-        assert min(stats(g).degree_sequence) > 0, name
+        assert min(stats(g)) > 0, name
         assert diameter(g) > 0, name
 
 
@@ -111,8 +110,7 @@ def test_planar33_entries_are_cubic_diameter3():
     for prefix, count in [("planar33_8_", 3), ("planar33_10_", 6), ("planar33_12_", 2)]:
         for i in range(1, count + 1):
             g = named(f"{prefix}{i}")
-            st = stats(g)
-            assert all(d == 3 for d in st.degree_sequence)
+            assert all(d == 3 for d in stats(g))
             assert diameter(g) == 3
 
 
